@@ -11,12 +11,10 @@ import (
 	"testing"
 
 	"hdface"
-	"hdface/internal/cascade"
 	"hdface/internal/dataset"
 	"hdface/internal/detect"
 	"hdface/internal/experiments"
 	"hdface/internal/hdhog"
-	"hdface/internal/hdl"
 	"hdface/internal/hv"
 	"hdface/internal/imgproc"
 	"hdface/internal/noise"
@@ -236,32 +234,6 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkCascadeVsHDFaceWindow compares per-window classification cost of
-// the HAAR cascade baseline against the HDFace pipeline.
-func BenchmarkCascadeVsHDFaceWindow(b *testing.B) {
-	imgs, labels := benchImages(16, 24)
-	det, err := cascade.Train(imgs, labels, 24, cascade.TrainOpts{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := hdface.New(hdface.Config{D: 2048, WorkingSize: 24, Seed: 13, Workers: 1})
-	if err := p.Fit(imgs, labels, 2); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("cascade", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			det.Classify(imgs[i%len(imgs)])
-		}
-	})
-	b.Run("hdface", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.Predict(imgs[i%len(imgs)])
-		}
-	})
-}
-
 // BenchmarkDetectRun measures a multi-scale sweep with a cheap scorer,
 // isolating the pyramid/NMS driver overhead.
 func BenchmarkDetectRun(b *testing.B) {
@@ -352,19 +324,5 @@ func BenchmarkTrackerStep(b *testing.B) {
 			dets = append(dets, track.Detection{Box: [4]int{j * 60, 0, j*60 + 48, 48}, Feature: v})
 		}
 		tk.Step(dets)
-	}
-}
-
-// BenchmarkHDLEval measures the gate-level evaluator on the Hamming unit —
-// the functional-verification path of the Verilog generator.
-func BenchmarkHDLEval(b *testing.B) {
-	m := hdl.HammingDistance(64)
-	in := map[string][]bool{"a": make([]bool, 64), "b": make([]bool, 64)}
-	for i := 0; i < 64; i += 2 {
-		in["a"][i] = true
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Eval(in, nil)
 	}
 }

@@ -70,12 +70,8 @@ func buildPipeline(d, workingSize, workers int, mode string, seed uint64) (*hdfa
 		m = hdface.ModeStochHOG
 	case "orig":
 		m = hdface.ModeOrigHOG
-	case "haar":
-		m = hdface.ModeStochHAAR
-	case "conv":
-		m = hdface.ModeStochConv
 	default:
-		return nil, fmt.Errorf("unknown mode %q (stoch, orig, haar, conv)", mode)
+		return nil, fmt.Errorf("unknown mode %q (stoch, orig)", mode)
 	}
 	if workers < 1 {
 		return nil, fmt.Errorf("-workers %d must be positive (default: all %d CPUs)", workers, runtime.NumCPU())

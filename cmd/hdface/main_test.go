@@ -30,8 +30,10 @@ func TestBuildPipeline(t *testing.T) {
 	if _, err := buildPipeline(512, 24, 1, "", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := buildPipeline(512, 24, 1, "bogus", 1); err == nil {
-		t.Fatal("accepted unknown mode")
+	for _, mode := range []string{"bogus", "haar", "conv"} {
+		if _, err := buildPipeline(512, 24, 1, mode, 1); err == nil {
+			t.Fatalf("accepted unknown mode %q", mode)
+		}
 	}
 	// Workers <= 0 is a user error now (the flag defaults to NumCPU); the
 	// old silent fallback hid typos like -workers 0.

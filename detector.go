@@ -37,9 +37,8 @@ const (
 // Every per-window random stream is reseeded from the window's deterministic
 // index, so sweep output is byte-identical for any worker count.
 //
-// The other modes still satisfy the contract — ScoreWindow extracts from
-// raw pixels — but their extractors share one codec stream, so Fork returns
-// nil and sweeps over them run single-worker.
+// ModeOrigHOG has no cell grid: ScoreWindow extracts every window from raw
+// pixels, with one classical-HOG extractor per fork.
 type FaceScorer struct {
 	p     *Pipeline
 	model *hdc.Model
@@ -109,7 +108,7 @@ func (p *Pipeline) DetectScorer(model *hdc.Model, win int) (*FaceScorer, error) 
 		// and so detection uses the same positional IDs training did.
 		p.hdExt.WarmIDs(s.geom, s.geom)
 		s.hd = p.hdExt.Fork()
-	case ModeOrigHOG:
+	default:
 		// Materialise the shared projection encoder now; afterwards it is
 		// read-only and fork-safe.
 		p.ensureEncoder(imgproc.NewImage(s.geom, s.geom))
@@ -128,7 +127,7 @@ func (s *FaceScorer) ScoreWindow(win *imgproc.Image) (bool, float64) {
 		s.p.harvest(s.hd)
 		obsFullWindows.Inc()
 		return s.score(f)
-	case ModeOrigHOG:
+	default:
 		feats := s.ext.Features(s.sized(win))
 		s.p.mu.Lock()
 		s.p.hogStats.Add(s.ext.Stats)
@@ -136,9 +135,6 @@ func (s *FaceScorer) ScoreWindow(win *imgproc.Image) (bool, float64) {
 		s.p.mu.Unlock()
 		obsFullWindows.Inc()
 		return s.score(s.p.encode(feats))
-	default:
-		obsFullWindows.Inc()
-		return s.score(s.p.Feature(win))
 	}
 }
 
@@ -160,18 +156,14 @@ func (s *FaceScorer) sized(img *imgproc.Image) *imgproc.Image {
 	return img
 }
 
-// Fork implements detect.Forker. Modes whose extractor state cannot be
-// cloned (HAAR and convolution share one codec stream) return nil, which
-// clamps the sweep to one worker.
+// Fork implements detect.Forker: the clone owns a private extractor.
 func (s *FaceScorer) Fork() detect.WindowScorer {
 	c := *s
 	switch s.p.cfg.Mode {
 	case ModeStochHOG:
 		c.hd = s.hd.Fork()
-	case ModeOrigHOG:
-		c.ext = hog.New(s.p.hogParams)
 	default:
-		return nil
+		c.ext = hog.New(s.p.hogParams)
 	}
 	return &c
 }
@@ -180,8 +172,8 @@ func (s *FaceScorer) Fork() detect.WindowScorer {
 // gets a LevelScorer whose per-window streams are keyed on (level, window
 // index); when the sweep geometry sits on the cell lattice it additionally
 // extracts the level's cell grid once, with workers-way parallelism, and
-// windows are assembled from cached cells. Other modes return nil and fall
-// back to ScoreWindow.
+// windows are assembled from cached cells. ModeOrigHOG returns nil and
+// falls back to ScoreWindow.
 func (s *FaceScorer) PrepareLevel(level *imgproc.Image, levelIdx, win, workers int) detect.LevelScorer {
 	if s.p.cfg.Mode != ModeStochHOG {
 		return nil

@@ -35,17 +35,12 @@ func ExampleNew() {
 
 // ExampleMode lists the feature front-ends and their paper names.
 func ExampleMode() {
-	for _, m := range []hdface.Mode{
-		hdface.ModeStochHOG, hdface.ModeOrigHOG,
-		hdface.ModeStochHAAR, hdface.ModeStochConv,
-	} {
+	for _, m := range []hdface.Mode{hdface.ModeStochHOG, hdface.ModeOrigHOG} {
 		fmt.Println(m)
 	}
 	// Output:
 	// HDFace+HoG+Learn
 	// HDFace+Learn
-	// HDFace+HAAR+Learn
-	// HDFace+Conv+Learn
 }
 
 // ExampleConfig shows how defaults are filled.

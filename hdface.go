@@ -14,10 +14,6 @@
 //     original representation, mapped to hyperspace with a nonlinear
 //     random-projection encoder.
 //
-// Two further hyperspace front-ends generalise the framework to the other
-// extractor families the paper names: ModeStochHAAR (rectangle features)
-// and ModeStochConv (small-kernel convolution).
-//
 // Quickstart:
 //
 //	p := hdface.New(hdface.Config{D: 4096, Mode: hdface.ModeStochHOG})
@@ -33,9 +29,7 @@ import (
 	"sync/atomic"
 
 	"hdface/internal/encoder"
-	"hdface/internal/haar"
 	"hdface/internal/hdc"
-	"hdface/internal/hdconv"
 	"hdface/internal/hdhog"
 	"hdface/internal/hog"
 	"hdface/internal/hv"
@@ -67,14 +61,6 @@ const (
 	// ModeOrigHOG runs classical HOG plus a nonlinear encoder (paper
 	// configuration 1).
 	ModeOrigHOG
-	// ModeStochHAAR runs HAAR-like rectangle features in hyperspace — the
-	// second extractor family the paper's Section 2 names; rectangle
-	// means are pure stochastic weighted averages.
-	ModeStochHAAR
-	// ModeStochConv runs a small-kernel convolution bank in hyperspace —
-	// the third named family; responses are stochastic constant-weight
-	// dot products.
-	ModeStochConv
 )
 
 // String names the mode as the paper's Table 2 rows do.
@@ -84,10 +70,6 @@ func (m Mode) String() string {
 		return "HDFace+HoG+Learn"
 	case ModeOrigHOG:
 		return "HDFace+Learn"
-	case ModeStochHAAR:
-		return "HDFace+HAAR+Learn"
-	case ModeStochConv:
-		return "HDFace+Conv+Learn"
 	}
 	return "unknown"
 }
@@ -137,12 +119,9 @@ func (c Config) withDefaults() Config {
 
 // Pipeline is a feature front-end plus an HDC classifier.
 type Pipeline struct {
-	cfg     Config
-	codec   *stoch.Codec
-	hdExt   *hdhog.Extractor
-	haarExt *haar.HD
-	convExt *hdconv.HD
-	mu      sync.Mutex
+	cfg   Config
+	hdExt *hdhog.Extractor
+	mu    sync.Mutex
 
 	// ModeOrigHOG state; the encoder is created on the first image, when
 	// the HOG feature length becomes known.
@@ -163,27 +142,14 @@ func New(cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
 	obsWorkers.Set(float64(cfg.Workers))
 	p := &Pipeline{cfg: cfg, hogParams: hog.DefaultParams()}
-	switch cfg.Mode {
-	case ModeStochHOG, ModeStochHAAR, ModeStochConv:
+	if cfg.Mode == ModeStochHOG {
 		opts := []stoch.Option{}
 		if cfg.SqrtIterations > 0 {
 			opts = append(opts, stoch.WithSqrtIterations(cfg.SqrtIterations))
 		}
-		p.codec = stoch.NewCodec(cfg.D, cfg.Seed^0xcafe, opts...)
-	}
-	switch cfg.Mode {
-	case ModeStochHOG:
 		hp := hdhog.DefaultParams()
 		hp.Stride = cfg.Stride
-		p.hdExt = hdhog.New(p.codec, hp)
-	case ModeStochHAAR:
-		win := cfg.WorkingSize
-		if win == 0 {
-			win = 48
-		}
-		p.haarExt = haar.NewHD(p.codec, win)
-	case ModeStochConv:
-		p.convExt = hdconv.NewHD(p.codec, 8)
+		p.hdExt = hdhog.New(stoch.NewCodec(cfg.D, cfg.Seed^0xcafe, opts...), hp)
 	}
 	return p
 }
@@ -237,14 +203,12 @@ func (p *Pipeline) ensureEncoder(img *Image) {
 	p.enc = encoder.NewProjection(p.cfg.D, n, p.cfg.Seed^0xe0c0)
 }
 
-// Feature maps one image to its hypervector. For the stochastic front-ends
-// the extractor is warmed (positional IDs pinned to the construction
-// stream) and then reseeded from the image content, so the result is a pure
-// function of (Config, image): the same image yields the same hypervector
-// no matter what the pipeline extracted before. For varying geometries the
-// guarantee requires IDs for that geometry to have been created in the same
-// order; a fixed WorkingSize (the serving configuration) satisfies it
-// unconditionally.
+// Feature maps one image to its hypervector. For ModeStochHOG the extractor
+// is reseeded from the image content, and its positional IDs are pure
+// functions of (D, cell, bin) whatever order they were created in, so the
+// result is a pure function of (Config, image) at any geometry: the same
+// image yields the same hypervector no matter what the pipeline extracted
+// before.
 func (p *Pipeline) Feature(img *Image) *hv.Vector {
 	sp := obs.StartSpan("extract")
 	defer sp.End()
@@ -257,19 +221,6 @@ func (p *Pipeline) Feature(img *Image) *hv.Vector {
 		p.hdExt.Reseed(p.featureSeed(img))
 		f := p.hdExt.Feature(img)
 		p.harvest(p.hdExt)
-		return f
-	case ModeStochHAAR:
-		p.haarExt.Reseed(p.featureSeed(img))
-		f := p.haarExt.Feature(img)
-		p.harvestCodec(p.haarExt.Pixels)
-		p.haarExt.Pixels = 0
-		return f
-	case ModeStochConv:
-		p.convExt.WarmIDs(img.W, img.H)
-		p.convExt.Reseed(p.featureSeed(img))
-		f := p.convExt.Feature(img)
-		p.harvestCodec(p.convExt.Sites)
-		p.convExt.Sites = 0
 		return f
 	default:
 		p.ensureEncoder(img)
@@ -303,16 +254,6 @@ func (p *Pipeline) harvest(e *hdhog.Extractor) {
 	e.Codec().Stats = stoch.Stats{}
 	p.pixels += e.Pixels
 	e.Pixels = 0
-	p.mu.Unlock()
-}
-
-// harvestCodec folds the shared codec's counters plus a site count into
-// the pipeline (HAAR and convolution front-ends).
-func (p *Pipeline) harvestCodec(sites int64) {
-	p.mu.Lock()
-	p.stochStats.Add(p.codec.Stats)
-	p.codec.Stats = stoch.Stats{}
-	p.pixels += sites
 	p.mu.Unlock()
 }
 
@@ -375,9 +316,20 @@ func (p *Pipeline) FeaturesContext(ctx context.Context, imgs []*Image) ([]*hv.Ve
 	switch p.cfg.Mode {
 	case ModeStochHOG:
 		obsImages.Add(int64(len(imgs)))
-		// Pre-warm positional IDs so forks never mutate shared state.
-		probe := p.prepare(imgs[0])
-		p.hdExt.WarmIDs(probe.W, probe.H)
+		// Warm positional IDs for the batch's largest cell grid before
+		// forking, so workers only ever read the shared map. IDs are keyed
+		// by linear cell index, so that grid covers every smaller one.
+		ww, wh := p.cfg.WorkingSize, p.cfg.WorkingSize
+		if ww <= 0 {
+			ww, wh = 0, 0
+			cs := p.hdExt.P.CellSize
+			for _, img := range imgs {
+				if (img.W/cs)*(img.H/cs) > (ww/cs)*(wh/cs) {
+					ww, wh = img.W, img.H
+				}
+			}
+		}
+		p.hdExt.WarmIDs(ww, wh)
 		// Fork every worker's extractor before launching any goroutine:
 		// Fork draws from the parent RNG, so it must not overlap with
 		// worker 0 mutating the parent.
@@ -403,14 +355,6 @@ func (p *Pipeline) FeaturesContext(ctx context.Context, imgs []*Image) ([]*hv.Ve
 			}(w, exts[w])
 		}
 		wg.Wait()
-	case ModeStochHAAR, ModeStochConv:
-		// These extractors share one codec; run sequentially.
-		for i, img := range imgs {
-			if stop.Load() {
-				break
-			}
-			out[i] = p.Feature(img)
-		}
 	default:
 		// ModeOrigHOG: encoder is shared read-only after creation.
 		obsImages.Add(int64(len(imgs)))

@@ -197,40 +197,15 @@ func TestFitFeaturesDirect(t *testing.T) {
 	}
 }
 
-func TestFitPredictStochHAAR(t *testing.T) {
-	imgs, labels := tinyFaceSet(30, 20)
-	p := hdface.New(hdface.Config{D: 2048, Mode: hdface.ModeStochHAAR, WorkingSize: 24, Seed: 21})
-	if err := p.Fit(imgs, labels, 2); err != nil {
-		t.Fatal(err)
-	}
-	if acc := p.Evaluate(imgs, labels); acc < 0.75 {
-		t.Fatalf("HAAR train accuracy %v", acc)
-	}
-	w := p.Work()
-	if (&w.Stoch).TotalWords() == 0 || w.Pixels == 0 {
-		t.Fatal("HAAR mode did not record work")
-	}
-}
-
-func TestFitPredictStochConv(t *testing.T) {
-	imgs, labels := tinyFaceSet(30, 22)
-	p := hdface.New(hdface.Config{D: 2048, Mode: hdface.ModeStochConv, WorkingSize: 24, Seed: 23})
-	if err := p.Fit(imgs, labels, 2); err != nil {
-		t.Fatal(err)
-	}
-	if acc := p.Evaluate(imgs, labels); acc < 0.75 {
-		t.Fatalf("Conv train accuracy %v", acc)
-	}
-	w := p.Work()
-	if (&w.Stoch).TotalWords() == 0 || w.Pixels == 0 {
-		t.Fatal("Conv mode did not record work")
-	}
-}
-
+// TestAllModeNames pins the mode set to the two front-ends Fig. 4 compares:
+// every other number, including the 2 and 3 of the removed HAAR and
+// convolution modes, names no mode.
 func TestAllModeNames(t *testing.T) {
-	if hdface.ModeStochHAAR.String() != "HDFace+HAAR+Learn" ||
-		hdface.ModeStochConv.String() != "HDFace+Conv+Learn" {
-		t.Fatal("new mode names wrong")
+	for m := hdface.Mode(0); m < 8; m++ {
+		named := m.String() != "unknown"
+		if named != (m == hdface.ModeStochHOG || m == hdface.ModeOrigHOG) {
+			t.Fatalf("Mode(%d) named %q", int(m), m.String())
+		}
 	}
 }
 
@@ -240,10 +215,21 @@ func TestAllModeNames(t *testing.T) {
 // any worker count, or after an arbitrary extraction history.
 func TestFeaturePureFunctionOfImage(t *testing.T) {
 	imgs, _ := tinyFaceSet(12, 7)
-	for _, mode := range []hdface.Mode{
-		hdface.ModeStochHOG, hdface.ModeStochHAAR, hdface.ModeStochConv, hdface.ModeOrigHOG,
+	// Without a working size every image keeps its own geometry. Later
+	// images with more cells than the first must not leave batch workers
+	// creating positional IDs concurrently (run with -race).
+	mixed := []*hdface.Image{imgs[0].Resize(8, 8), imgs[1].Resize(40, 40), imgs[2].Resize(48, 40), imgs[3]}
+	for _, tc := range []struct {
+		mode hdface.Mode
+		size int
+		imgs []*hdface.Image
+	}{
+		{hdface.ModeStochHOG, 32, imgs},
+		{hdface.ModeOrigHOG, 32, imgs},
+		{hdface.ModeStochHOG, 0, mixed},
 	} {
-		cfg := hdface.Config{D: 1024, Mode: mode, Seed: 5, WorkingSize: 32}
+		mode, imgs := tc.mode, tc.imgs
+		cfg := hdface.Config{D: 1024, Mode: mode, Seed: 5, WorkingSize: tc.size}
 		// Reference: a fresh pipeline extracting each image in isolation.
 		want := make([]*hv.Vector, len(imgs))
 		for i, img := range imgs {
@@ -254,7 +240,7 @@ func TestFeaturePureFunctionOfImage(t *testing.T) {
 		p := hdface.New(cfg)
 		for i, img := range imgs {
 			if got := p.Feature(img); !got.Equal(want[i]) {
-				t.Fatalf("%v: sequential Feature(%d) differs from isolated", mode, i)
+				t.Fatalf("%v size=%d: sequential Feature(%d) differs from isolated", mode, tc.size, i)
 			}
 		}
 		// Batch extraction at several worker counts must agree too, and be
@@ -265,7 +251,7 @@ func TestFeaturePureFunctionOfImage(t *testing.T) {
 			got := hdface.New(cw).Features(imgs)
 			for i := range imgs {
 				if !got[i].Equal(want[i]) {
-					t.Fatalf("%v workers=%d: Features[%d] differs from isolated", mode, workers, i)
+					t.Fatalf("%v size=%d workers=%d: Features[%d] differs from isolated", mode, tc.size, workers, i)
 				}
 			}
 			rev := make([]*hdface.Image, len(imgs))
@@ -275,7 +261,7 @@ func TestFeaturePureFunctionOfImage(t *testing.T) {
 			gotRev := hdface.New(cw).Features(rev)
 			for i := range imgs {
 				if !gotRev[len(imgs)-1-i].Equal(want[i]) {
-					t.Fatalf("%v workers=%d: reversed batch changed Features[%d]", mode, workers, i)
+					t.Fatalf("%v size=%d workers=%d: reversed batch changed Features[%d]", mode, tc.size, workers, i)
 				}
 			}
 		}

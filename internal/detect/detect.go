@@ -1,14 +1,13 @@
 // Package detect drives sliding-window face detection at multiple scales:
 // an image pyramid feeds a window classifier, detections map back to
 // original coordinates, and non-maximum suppression merges overlapping
-// hits. Any scoring function works — the HDFace pipeline, the HAAR
-// cascade, or a test stub.
+// hits. Any scoring function works — the HDFace pipeline or a test stub.
 //
 // The sweep engine supports two scoring contracts. A plain WindowScorer is
 // handed cropped raw-pixel windows, one at a time. A GridScorer may
-// additionally prepare per-level state once — an integral image, or the
-// hyperspace HOG cell grid whose cell hypervectors are shared by every
-// overlapping window — and score windows from it without re-extracting.
+// additionally prepare per-level state once — such as the hyperspace HOG
+// cell grid whose cell hypervectors are shared by every overlapping window
+// — and score windows from it without re-extracting.
 // Sweeps fan out over a worker pool; window indices are deterministic, so
 // scorers that reseed from them produce byte-identical results for any
 // worker count.
@@ -122,8 +121,7 @@ type WindowScorer interface {
 
 // Forker is implemented by scorers whose clones may score windows on
 // separate goroutines. Fork is called serially, before the sweep's
-// goroutines start; returning nil vetoes parallelism (a scorer whose
-// shared state cannot be cloned), clamping the sweep to one worker.
+// goroutines start.
 type Forker interface {
 	Fork() WindowScorer
 }
@@ -151,8 +149,8 @@ type LevelCloser interface {
 }
 
 // GridScorer is implemented by scorers that can precompute per-level state
-// (an integral image, the hyperspace HOG cell grid) and score windows from
-// it instead of from cropped pixels.
+// (the hyperspace HOG cell grid) and score windows from it instead of from
+// cropped pixels.
 type GridScorer interface {
 	WindowScorer
 	// PrepareLevel is called once per pyramid level, serially and in
@@ -246,8 +244,8 @@ type SweepStats struct {
 	// smaller than the window (previously an invisible no-op).
 	SkippedLevels int
 	// PreparedLevels counts levels scored through a prepared LevelScorer
-	// (an integral image, a cell-hypervector grid); PreparedWindows and
-	// FallbackWindows split the window total accordingly.
+	// (a cell-hypervector grid); PreparedWindows and FallbackWindows split
+	// the window total accordingly.
 	PreparedLevels  int
 	PreparedWindows int64
 	FallbackWindows int64
@@ -334,9 +332,9 @@ func Sweep(ctx context.Context, img *imgproc.Image, scorer WindowScorer, p Param
 		lv.start = total
 		n := lv.nx * lv.ny
 		total += n
-		// Level preparation (an integral image, a full cell-grid
-		// extraction) is the expensive part of the pyramid build; once the
-		// context is dead there is no budget left to spend on it.
+		// Level preparation (a full cell-grid extraction) is the expensive
+		// part of the pyramid build; once the context is dead there is no
+		// budget left to spend on it.
 		if gs != nil && ctx.Err() == nil {
 			lv.ls = gs.PrepareLevel(lv.img, li, p.Win, p.Workers)
 		}
@@ -380,10 +378,7 @@ func Sweep(ctx context.Context, img *imgproc.Image, scorer WindowScorer, p Param
 			wsForks = make([]WindowScorer, workers)
 			wsForks[0] = scorer
 			for w := 1; w < workers; w++ {
-				if wsForks[w] = f.Fork(); wsForks[w] == nil {
-					workers = 1
-					break
-				}
+				wsForks[w] = f.Fork()
 			}
 		} else {
 			workers = 1

@@ -40,9 +40,6 @@ func Enable() { armed.Store(true) }
 // retained (use Reset to clear them).
 func Disable() { armed.Store(false) }
 
-// Enabled reports whether instrumentation is on.
-func Enabled() bool { return armed.Load() }
-
 // registry is the process-global metric store. Handles register at package
 // init and live for the process lifetime; Reset zeroes values but never
 // invalidates handles.

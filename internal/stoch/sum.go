@@ -48,29 +48,3 @@ func (c *Codec) WeightedSum(vs []*hv.Vector, ws []float64) *hv.Vector {
 	}
 	return nodes[0].v
 }
-
-// DotConst returns a hypervector representing the normalised dot product
-// sum_i (k_i * x_i) / sum_i |k_i| between a constant kernel k and
-// represented values x — the inner loop of hyperspace convolution. Terms
-// with negative kernel weights contribute through negated operands.
-func (c *Codec) DotConst(ks []float64, xs []*hv.Vector) *hv.Vector {
-	if len(ks) == 0 || len(ks) != len(xs) {
-		panic("stoch: DotConst needs matching non-empty kernels and vectors")
-	}
-	vs := make([]*hv.Vector, 0, len(ks))
-	ws := make([]float64, 0, len(ks))
-	for i, k := range ks {
-		switch {
-		case k > 0:
-			vs = append(vs, xs[i])
-			ws = append(ws, k)
-		case k < 0:
-			vs = append(vs, c.Neg(xs[i]))
-			ws = append(ws, -k)
-		}
-	}
-	if len(vs) == 0 {
-		return c.Construct(0)
-	}
-	return c.WeightedSum(vs, ws)
-}

@@ -72,37 +72,6 @@ func TestWeightedSumPanics(t *testing.T) {
 	}
 }
 
-func TestDotConstSobelLike(t *testing.T) {
-	// A centred difference kernel: [-1, 0, 1] over values (a, b, c)
-	// represents (c - a) / 2.
-	c := NewCodec(16384, 26)
-	xs := []*hv.Vector{c.Construct(-0.6), c.Construct(0.1), c.Construct(0.8)}
-	got := c.Decode(c.DotConst([]float64{-1, 0, 1}, xs))
-	want := (0.8 - (-0.6)) / 2
-	if math.Abs(got-want) > 0.06 {
-		t.Fatalf("dot = %v, want %v", got, want)
-	}
-}
-
-func TestDotConstAllZeroKernel(t *testing.T) {
-	c := NewCodec(4096, 27)
-	xs := []*hv.Vector{c.Construct(0.5)}
-	got := c.Decode(c.DotConst([]float64{0}, xs))
-	if math.Abs(got) > 0.05 {
-		t.Fatalf("zero kernel = %v, want ~0", got)
-	}
-}
-
-func TestDotConstPanics(t *testing.T) {
-	c := NewCodec(256, 28)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on misaligned DotConst")
-		}
-	}()
-	c.DotConst([]float64{1}, nil)
-}
-
 // Property: WeightedSum of constructed values stays within 6 sigma of the
 // exact convex combination for random weights.
 func TestWeightedSumProperty(t *testing.T) {

@@ -19,6 +19,11 @@ go vet ./...
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 
+echo "== benchmark module vet + test =="
+# bench/ is its own Go module, so neither step above compiles it; this is
+# the gate that notices when a change removes an API the benchmark uses.
+go -C bench vet . && go -C bench test .
+
 echo "== resilience suite (race, bounded) =="
 # The cancellation/panic/fault paths are the ones a flaky scheduler can
 # wedge: bound them so a leaked goroutine fails fast instead of hanging CI.

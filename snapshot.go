@@ -258,7 +258,7 @@ func validateSnapshotConfig(cfg Config) error {
 	if cfg.D < 1 || cfg.D > snapshotD {
 		return fmt.Errorf("hdface: snapshot config D=%d outside [1, %d]", cfg.D, snapshotD)
 	}
-	if cfg.Mode < ModeStochHOG || cfg.Mode > ModeStochConv {
+	if cfg.Mode < ModeStochHOG || cfg.Mode > ModeOrigHOG {
 		return fmt.Errorf("hdface: snapshot config mode %d unknown", cfg.Mode)
 	}
 	if cfg.WorkingSize < 0 || cfg.WorkingSize > 1<<14 {

@@ -53,9 +53,7 @@ func snapshotRoundTrip(t *testing.T, p *hdface.Pipeline) *hdface.Pipeline {
 func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 	train, labels := tinyFaceSet(24, 3)
 	probes, _ := tinyFaceSet(8, 77)
-	for _, mode := range []hdface.Mode{
-		hdface.ModeStochHOG, hdface.ModeStochHAAR, hdface.ModeStochConv, hdface.ModeOrigHOG,
-	} {
+	for _, mode := range []hdface.Mode{hdface.ModeStochHOG, hdface.ModeOrigHOG} {
 		cfg := hdface.Config{D: 1024, Mode: mode, Seed: 11, WorkingSize: 32, Workers: 2}
 		p := hdface.New(cfg)
 		if err := p.Fit(train, labels, 2); err != nil {
@@ -176,6 +174,8 @@ func TestSnapshotRejectsHostileInput(t *testing.T) {
 	// Out-of-range configs must be rejected before they drive allocation.
 	for name, cfg := range map[string]hdface.Config{
 		"mode":         {D: 512, Mode: hdface.Mode(9), Workers: 1},
+		"mode 2":       {D: 512, Mode: hdface.Mode(2), Workers: 1},
+		"mode 3":       {D: 512, Mode: hdface.Mode(3), Workers: 1},
 		"working size": {D: 512, WorkingSize: 1 << 20, Workers: 1},
 		"workers":      {D: 512, Workers: 1 << 20},
 		"stride":       {D: 512, Workers: 1, Stride: 1 << 16},
