@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-online bench-detect bench-fleet bench-stream bench-tenant check fmt vet
+.PHONY: build test bench bench-online bench-fleet bench-stream check fmt vet
 
 build:
 	$(GO) build ./...
@@ -15,11 +15,6 @@ bench:
 bench-online:
 	$(GO) run ./cmd/hdface-bench -exp onlinebench -out results
 
-# Regenerate the detection sweep benchmark (results/BENCH_detect.json),
-# including the fused zero-alloc scoring-kernel configs.
-bench-detect:
-	$(GO) run ./cmd/hdface-bench -exp detectbench -out results
-
 # Regenerate the serving fleet benchmark (results/BENCH_fleet.json):
 # scaling, availability under a killed replica, split-feedback merge.
 bench-fleet:
@@ -29,12 +24,6 @@ bench-fleet:
 # throughput, per-frame latency, identity F1 and the determinism gate.
 bench-stream:
 	$(GO) run ./cmd/hdface-bench -exp streambench -out results
-
-# Regenerate the multi-tenant model store benchmark (results/BENCH_tenant.json):
-# bytes/model, 1k-version open time, cold-materialize and hot-swap latency,
-# steady-state serving over 100+ tenants, lazy-vs-eager byte identity.
-bench-tenant:
-	$(GO) run ./cmd/hdface-bench -exp tenantbench -out results
 
 # Full hygiene gate: gofmt -l, go vet, go test -race (see scripts/check.sh).
 check:

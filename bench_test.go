@@ -22,9 +22,9 @@ import (
 	"hdface/internal/track"
 )
 
-// benchImages renders a small balanced face/no-face batch.
-func benchImages(n, size int) ([]*imgproc.Image, []int) {
-	r := hv.NewRNG(1)
+// benchImages renders a small balanced face/no-face batch from seed.
+func benchImages(n, size int, seed uint64) ([]*imgproc.Image, []int) {
+	r := hv.NewRNG(seed)
 	imgs := make([]*imgproc.Image, n)
 	labels := make([]int, n)
 	for i := range imgs {
@@ -63,7 +63,7 @@ func BenchmarkTable1DatasetGen(b *testing.B) {
 // BenchmarkFig4TrainStoch measures the stochastic-HOG pipeline's Fit on a
 // small face/no-face batch — the HDFace column of Figure 4.
 func BenchmarkFig4TrainStoch(b *testing.B) {
-	imgs, labels := benchImages(8, 32)
+	imgs, labels := benchImages(8, 32, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := hdface.New(hdface.Config{D: 2048, Seed: 3, Workers: 1})
@@ -76,7 +76,7 @@ func BenchmarkFig4TrainStoch(b *testing.B) {
 // BenchmarkFig4TrainOrig measures the original-space configuration (HOG +
 // nonlinear encoder) — the comparison column of Figure 4.
 func BenchmarkFig4TrainOrig(b *testing.B) {
-	imgs, labels := benchImages(8, 32)
+	imgs, labels := benchImages(8, 32, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := hdface.New(hdface.Config{D: 2048, Mode: hdface.ModeOrigHOG, Seed: 3, Workers: 1})
@@ -89,7 +89,7 @@ func BenchmarkFig4TrainOrig(b *testing.B) {
 // BenchmarkFig5aFeatureByD measures hyperspace feature extraction across
 // the Figure 5a dimensionality sweep.
 func BenchmarkFig5aFeatureByD(b *testing.B) {
-	imgs, _ := benchImages(1, 32)
+	imgs, _ := benchImages(1, 32, 1)
 	for _, d := range []int{1024, 4096, 10240} {
 		b.Run(itoa(d), func(b *testing.B) {
 			e := hdhog.New(stoch.NewCodec(d, 4), hdhog.Params{Stride: 1})
@@ -124,7 +124,7 @@ func BenchmarkFig5bDNNEpoch(b *testing.B) {
 // BenchmarkFig6Window measures classifying one sliding window — the unit
 // of Figure 6's detection sweep.
 func BenchmarkFig6Window(b *testing.B) {
-	imgs, labels := benchImages(8, 48)
+	imgs, labels := benchImages(8, 48, 1)
 	p := hdface.New(hdface.Config{D: 2048, Seed: 6, Workers: 1})
 	if err := p.Fit(imgs, labels, 2); err != nil {
 		b.Fatal(err)
@@ -153,7 +153,7 @@ func BenchmarkFig7Model(b *testing.B) {
 // BenchmarkTable2NoiseSweep measures one fault-injection evaluation: flip
 // bits in features and model, then re-evaluate (the Table 2 inner loop).
 func BenchmarkTable2NoiseSweep(b *testing.B) {
-	imgs, labels := benchImages(8, 32)
+	imgs, labels := benchImages(8, 32, 1)
 	p := hdface.New(hdface.Config{D: 2048, Seed: 8, Workers: 1})
 	if err := p.Fit(imgs, labels, 2); err != nil {
 		b.Fatal(err)
@@ -175,7 +175,7 @@ func BenchmarkTable2NoiseSweep(b *testing.B) {
 // BenchmarkAblationStride compares the paper's 3x3-cell gradient sampling
 // against per-pixel gradients (DESIGN.md ablation).
 func BenchmarkAblationStride(b *testing.B) {
-	imgs, _ := benchImages(1, 32)
+	imgs, _ := benchImages(1, 32, 1)
 	for _, stride := range []int{1, 3} {
 		b.Run(itoa(stride), func(b *testing.B) {
 			e := hdhog.New(stoch.NewCodec(2048, 10), hdhog.Params{Stride: stride})
@@ -191,7 +191,7 @@ func BenchmarkAblationStride(b *testing.B) {
 // BenchmarkAblationBundle compares value-weighted ID bundling against pure
 // bind-and-bundle feature construction (DESIGN.md ablation).
 func BenchmarkAblationBundle(b *testing.B) {
-	imgs, _ := benchImages(1, 32)
+	imgs, _ := benchImages(1, 32, 1)
 	for _, bind := range []bool{false, true} {
 		name := "weighted"
 		if bind {
@@ -237,7 +237,7 @@ func itoa(n int) string {
 // BenchmarkDetectRun measures a multi-scale sweep with a cheap scorer,
 // isolating the pyramid/NMS driver overhead.
 func BenchmarkDetectRun(b *testing.B) {
-	imgs, _ := benchImages(1, 96)
+	imgs, _ := benchImages(1, 96, 1)
 	scorer := func(win *imgproc.Image) (bool, float64) {
 		m := win.Mean()
 		return m > 128, m
@@ -257,7 +257,7 @@ func BenchmarkDetectRun(b *testing.B) {
 // hypervectors across windows on one worker; "cellgrid-wN" adds the
 // worker pool.
 func BenchmarkDetectSweep(b *testing.B) {
-	imgs, labels := benchImages(16, 48)
+	imgs, labels := benchImages(16, 48, 1)
 	p := hdface.New(hdface.Config{D: 2048, Seed: 21, Workers: 1, Stride: 3})
 	if err := p.Fit(imgs, labels, 2); err != nil {
 		b.Fatal(err)
@@ -305,6 +305,96 @@ func BenchmarkDetectSweep(b *testing.B) {
 	if runtime.NumCPU() < 4 {
 		b.Log("host has fewer than 4 CPUs: the multi-worker sub-benchmark exercises the pool without wall-clock speedup")
 	}
+}
+
+// BenchmarkFusedScoreVsCellGrid carries the fused kernel's two performance
+// contracts on a 256x256 scene at D=1024 and scales {1, 1.5, 2}, 133
+// windows at stride 24. "cellgrid-sweep" times a whole one-worker
+// cell-grid sweep, pyramid and level grids included; "fused-score"
+// prepares every level untimed and times only the fused window scoring.
+// Each reports windows/op, windows/s and allocs/window, and
+// scripts/check.sh requires fused windows/s at least 3x the cellgrid
+// sweep's and at most 8 fused allocs/window.
+func BenchmarkFusedScoreVsCellGrid(b *testing.B) {
+	const size, d, win = 256, 1024, 48
+	imgs, labels := benchImages(16, win, 7^0xbe7c)
+	p := hdface.New(hdface.Config{D: d, Seed: 7, Workers: 1, Stride: 3})
+	if err := p.Fit(imgs, labels, 2); err != nil {
+		b.Fatal(err)
+	}
+	scene := dataset.GenerateScene(size, size, win, 3, 7^0x5ce2)
+	params := detect.Params{Win: win, Stride: 24, Scales: []float64{1, 1.5, 2}, NMSIoU: 0.3, Workers: 1}
+
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	report := func(b *testing.B, windows int64, allocs uint64) {
+		n := float64(windows) * float64(b.N)
+		b.ReportMetric(float64(windows), "windows/op")
+		b.ReportMetric(n/b.Elapsed().Seconds(), "windows/s")
+		b.ReportMetric(float64(allocs)/n, "allocs/window")
+	}
+
+	b.Run("cellgrid-sweep", func(b *testing.B) {
+		var windows int64
+		before := mallocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			scorer, err := p.DetectScorer(nil, win)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, stats, err := detect.Sweep(context.Background(), scene.Image, scorer, params)
+			if err != nil {
+				b.Fatal(err)
+			}
+			windows = stats.Windows
+		}
+		b.StopTimer()
+		report(b, windows, mallocs()-before)
+	})
+	b.Run("fused-score", func(b *testing.B) {
+		scorer, err := p.DetectScorer(nil, win)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scorer.Fused = true
+		type level struct {
+			ls     detect.LevelScorer
+			nx, ny int
+		}
+		var levels []level
+		for li, s := range params.Scales {
+			img := scene.Image
+			if s != 1 {
+				img = img.Resize(int(size/s), int(size/s))
+			}
+			ls := scorer.PrepareLevel(img, li, win, 1)
+			if ls == nil {
+				b.Fatalf("level %d declined preparation", li)
+			}
+			levels = append(levels, level{ls, (img.W-win)/params.Stride + 1, (img.H-win)/params.Stride + 1})
+		}
+		var windows int64
+		before := mallocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			windows = 0
+			for _, l := range levels {
+				for idx := 0; idx < l.nx*l.ny; idx++ {
+					l.ls.ScoreAt(idx%l.nx*params.Stride, idx/l.nx*params.Stride, idx)
+					windows++
+				}
+			}
+		}
+		b.StopTimer()
+		report(b, windows, mallocs()-before)
+		for _, l := range levels {
+			l.ls.(detect.LevelCloser).CloseLevel()
+		}
+	})
 }
 
 // BenchmarkTrackerStep measures one tracker frame with four detections.

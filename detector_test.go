@@ -20,7 +20,7 @@ var (
 
 func trainedDetectPipeline(t *testing.T, d int) *hdface.Pipeline {
 	t.Helper()
-	imgs, labels := benchImages(12, 48)
+	imgs, labels := benchImages(12, 48, 1)
 	p := hdface.New(hdface.Config{D: d, Seed: 21, Workers: 1, Stride: 3})
 	if err := p.Fit(imgs, labels, 2); err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestDetectScorerValidation(t *testing.T) {
 	if _, err := p.DetectScorer(nil, 48); err == nil {
 		t.Fatal("untrained pipeline should be rejected")
 	}
-	imgs, labels := benchImages(12, 32)
+	imgs, labels := benchImages(12, 32, 1)
 	// A 7-class emotion model is not a face/non-face detector.
 	for i := range labels {
 		labels[i] = i % 3

@@ -58,8 +58,8 @@ func TestLoadAllShapes(t *testing.T) {
 
 func TestRunnerRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 22 {
-		t.Fatalf("expected 22 experiments, got %d", len(all))
+	if len(all) != 19 {
+		t.Fatalf("expected 19 experiments, got %d", len(all))
 	}
 	if _, ok := Get("fig4"); !ok {
 		t.Fatal("fig4 missing")

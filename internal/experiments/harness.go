@@ -185,13 +185,10 @@ func All() []Runner {
 		{"dimreduce", "post-training dimensionality reduction", DimReduce},
 		{"occlusion", "robustness to structured occlusion", Occlusion},
 		{"dse", "FPGA lane-budget design-space exploration", DSE},
-		{"detectbench", "detection sweep perf baseline (BENCH_detect.json)", DetectBench},
-		{"servebench", "serving daemon load benchmark (BENCH_serve.json)", ServeBench},
 		{"streambench", "streaming tracking benchmark (BENCH_stream.json)", StreamBench},
 		{"faultsweep", "bit-error chaos harness with self-repair (BENCH_fault.json)", FaultSweep},
 		{"onlinebench", "online learning drift-recovery benchmark (BENCH_online.json)", OnlineBench},
 		{"fleetbench", "fault-tolerant serving fleet benchmark (BENCH_fleet.json)", FleetBench},
-		{"tenantbench", "compact multi-tenant model store benchmark (BENCH_tenant.json)", TenantBench},
 		{"verify", "reproduction gate: assert the structural claims", Verify},
 	}
 }

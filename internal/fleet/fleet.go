@@ -240,29 +240,40 @@ func (rp *replica) available(now time.Time, cooldown time.Duration) bool {
 }
 
 // acquire claims the right to send one request, transitioning an expired
-// open breaker to half-open and claiming its trial slot.
-func (rp *replica) acquire(now time.Time, cooldown time.Duration) bool {
+// open breaker to half-open and claiming its trial slot; trial reports
+// whether the claim holds that slot.
+func (rp *replica) acquire(now time.Time, cooldown time.Duration) (ok, trial bool) {
 	if !rp.healthy.Load() {
-		return false
+		return false, false
 	}
 	rp.bmu.Lock()
 	defer rp.bmu.Unlock()
 	switch rp.brState {
 	case brClosed:
-		return true
+		return true, false
 	case brOpen:
 		if now.Sub(rp.brOpenedAt) < cooldown {
-			return false
+			return false, false
 		}
 		rp.brState = brHalfOpen
 		rp.brTrial = true
-		return true
+		return true, true
 	default:
 		if rp.brTrial {
-			return false
+			return false, false
 		}
 		rp.brTrial = true
-		return true
+		return true, true
+	}
+}
+
+// release frees a half-open trial slot without a verdict: the attempt
+// holding it was abandoned, which says nothing about the replica.
+func (rp *replica) release() {
+	rp.bmu.Lock()
+	defer rp.bmu.Unlock()
+	if rp.brState == brHalfOpen {
+		rp.brTrial = false
 	}
 }
 
@@ -503,8 +514,8 @@ func (r *Router) availableCount() int {
 // pick chooses the next replica for an attempt: available, not yet tried
 // by this request if possible, preferring unsaturated replicas and
 // breaking ties by lowest inflight. Returns nil when nothing is
-// acquirable.
-func (r *Router) pick(tried map[*replica]bool) *replica {
+// acquirable; trial reports whether the pick holds a half-open trial slot.
+func (r *Router) pick(tried map[*replica]bool) (*replica, bool) {
 	now := time.Now()
 	var best *replica
 	bestKey := [3]int64{1 << 30, 1 << 30, 1 << 30} // tried, saturated, inflight
@@ -524,10 +535,14 @@ func (r *Router) pick(tried map[*replica]bool) *replica {
 			best, bestKey = rp, key
 		}
 	}
-	if best == nil || !best.acquire(now, r.cfg.BreakerCooldown) {
-		return nil
+	if best == nil {
+		return nil, false
 	}
-	return best
+	ok, trial := best.acquire(now, r.cfg.BreakerCooldown)
+	if !ok {
+		return nil, false
+	}
+	return best, trial
 }
 
 // window returns the rolling latency window for one path.
@@ -559,6 +574,7 @@ type outcome struct {
 	err     error
 	latency time.Duration
 	hedge   bool
+	trial   bool // the attempt held its replica's half-open trial slot
 }
 
 // usable reports whether an outcome should be returned to the client.
@@ -624,23 +640,35 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, path string, 
 	results := make(chan outcome, r.cfg.MaxAttempts+2)
 	tried := make(map[*replica]bool)
 	var cancels []context.CancelFunc
+	launches, outstanding := 0, 0
 	defer func() {
 		for _, c := range cancels {
 			c()
 		}
+		// Attempts still out lost to another answer or outlived the
+		// budget: once they end, free any trial slot they hold without a
+		// breaker verdict.
+		if n := outstanding; n > 0 {
+			go func() {
+				for ; n > 0; n-- {
+					if out := <-results; out.trial {
+						out.rp.release()
+					}
+				}
+			}()
+		}
 	}()
-	launches, outstanding := 0, 0
 
 	launch := func(hedge bool) bool {
-		rp := r.pick(tried)
-		if rp == nil {
-			return false
-		}
-		tried[rp] = true
 		remaining := time.Until(deadlineOf(ctx))
 		if remaining <= 0 {
 			return false
 		}
+		rp, trial := r.pick(tried)
+		if rp == nil {
+			return false
+		}
+		tried[rp] = true
 		// Deadline propagation: tell the replica how much budget is left,
 		// shaved so its reply can still cross the wire inside ours.
 		attemptBudget := remaining - remaining/10
@@ -657,8 +685,9 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, path string, 
 			start := time.Now()
 			status, header, respBody, err := r.attempt(actx, rp, req.Method, path,
 				req.URL.Query(), attemptBudget, body, tr)
+			rp.inflight.Add(-1)
 			results <- outcome{rp: rp, status: status, header: header, body: respBody,
-				err: err, latency: time.Since(start), hedge: hedge}
+				err: err, latency: time.Since(start), hedge: hedge, trial: trial}
 		}()
 		return true
 	}
@@ -696,7 +725,6 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, path string, 
 		select {
 		case out := <-results:
 			outstanding--
-			out.rp.inflight.Add(-1)
 			if out.usable() {
 				out.rp.report(out.status < 500, r.cfg.BreakAfter, time.Now())
 				out.rp.served.Add(1)

@@ -427,3 +427,87 @@ func TestRouterHedging(t *testing.T) {
 		t.Fatal("no hedge ever fired against the laggy replica")
 	}
 }
+
+// TestRouterHedgeReleasesLoser: the attempt a hedge beats is abandoned,
+// not leaked. Its replica's inflight count returns to zero and the
+// half-open trial it held is freed without a breaker verdict, so the
+// replica serves again once it is fast.
+func TestRouterHedgeReleasesLoser(t *testing.T) {
+	var slow, failing atomic.Bool
+	laggy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/predict" {
+			if failing.Load() {
+				http.Error(w, "injected outage", http.StatusInternalServerError)
+				return
+			}
+			if slow.Load() {
+				time.Sleep(300 * time.Millisecond)
+			}
+		}
+		fmt.Fprintln(w, `{"ok":true}`)
+	}))
+	defer laggy.Close()
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, `{"ok":true}`)
+	}))
+	defer fast.Close()
+
+	router, err := New(Config{
+		Replicas:        []string{laggy.URL, fast.URL},
+		ProbeInterval:   20 * time.Millisecond,
+		BreakAfter:      1,
+		BreakerCooldown: 50 * time.Millisecond,
+		RetryBackoff:    time.Millisecond,
+		HedgeMinSamples: 8,
+		MaxAttempts:     2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	rt := httptest.NewServer(router.Handler())
+	defer rt.Close()
+	predict := func() {
+		t.Helper()
+		if code, body := postPGM(t, rt.URL+"/predict", []byte("x")); code != http.StatusOK {
+			t.Fatalf("predict: status %d (%s)", code, body)
+		}
+	}
+	laggyHealth := func() ReplicaHealth { return routerHealth(t, rt.URL).Replicas[0] }
+
+	// Warm the latency window. On an idle fleet the picker prefers the
+	// first replica, the laggy one.
+	for i := 0; i < 16; i++ {
+		predict()
+	}
+	// One failure opens the laggy replica's breaker; the request fails
+	// over to the fast one.
+	failing.Store(true)
+	waitFor(t, 2*time.Second, func() bool {
+		predict()
+		return laggyHealth().Breaker == "open"
+	}, "the laggy replica's breaker never opened")
+	failing.Store(false)
+
+	// After the cooldown the next request the laggy replica gets is its
+	// half-open trial. It stalls, and the hedge to the fast replica wins,
+	// leaving the breaker half-open with no verdict.
+	slow.Store(true)
+	before := obsHedges.Value()
+	waitFor(t, 2*time.Second, func() bool {
+		predict()
+		return obsHedges.Value() > before && laggyHealth().Breaker == "half-open"
+	}, "no hedge fired against the stalled trial")
+	waitFor(t, 2*time.Second, func() bool {
+		return laggyHealth().Inflight == 0
+	}, "the hedged-past attempt never released its replica's inflight count")
+
+	// Fast again, the laggy replica must take traffic and close its breaker.
+	slow.Store(false)
+	served := laggyHealth().Served
+	waitFor(t, 2*time.Second, func() bool {
+		predict()
+		h := laggyHealth()
+		return h.Served > served && h.Breaker == "closed"
+	}, "the hedged-past replica never served again")
+}

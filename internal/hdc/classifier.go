@@ -404,43 +404,6 @@ func (m *Model) Accuracy(features []*hv.Vector, labels []int) float64 {
 	return float64(correct) / float64(len(features))
 }
 
-// CrossValidate runs k-fold cross validation over hypervector features and
-// returns the per-fold test accuracies. Folds are contiguous stripes of a
-// seeded shuffle, so results are reproducible.
-func CrossValidate(features []*hv.Vector, labels []int, numClasses, folds int, opts TrainOpts) ([]float64, error) {
-	if folds < 2 || folds > len(features) {
-		return nil, fmt.Errorf("hdc: folds %d outside [2, %d]", folds, len(features))
-	}
-	if len(features) != len(labels) {
-		return nil, fmt.Errorf("hdc: %d features and %d labels misaligned", len(features), len(labels))
-	}
-	opts = opts.withDefaults()
-	r := hv.NewRNG(opts.Seed ^ 0xcf01d)
-	idx := r.Perm(len(features))
-	accs := make([]float64, folds)
-	for f := 0; f < folds; f++ {
-		lo := f * len(idx) / folds
-		hi := (f + 1) * len(idx) / folds
-		var trF, teF []*hv.Vector
-		var trL, teL []int
-		for pos, i := range idx {
-			if pos >= lo && pos < hi {
-				teF = append(teF, features[i])
-				teL = append(teL, labels[i])
-			} else {
-				trF = append(trF, features[i])
-				trL = append(trL, labels[i])
-			}
-		}
-		m, err := Train(trF, trL, numClasses, opts)
-		if err != nil {
-			return nil, fmt.Errorf("hdc: fold %d: %w", f, err)
-		}
-		accs[f] = m.Accuracy(teF, teL)
-	}
-	return accs, nil
-}
-
 // Shrink returns a model reduced to the first newD dimensions of the
 // given permutation (identity when perm is nil) — the paper's observation
 // that HDC's redundant representation tolerates dimensionality reduction:

@@ -577,47 +577,3 @@ func TestShrinkValidation(t *testing.T) {
 		}()
 	}
 }
-
-func TestCrossValidate(t *testing.T) {
-	feats, labels, _ := makeClusters(1024, 3, 20, 0.25, 41)
-	accs, err := CrossValidate(feats, labels, 3, 5, TrainOpts{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(accs) != 5 {
-		t.Fatalf("want 5 folds, got %d", len(accs))
-	}
-	var mean float64
-	for _, a := range accs {
-		if a < 0 || a > 1 {
-			t.Fatalf("fold accuracy %v out of range", a)
-		}
-		mean += a / 5
-	}
-	if mean < 0.85 {
-		t.Fatalf("cross-validated accuracy %v on easy clusters", mean)
-	}
-	// Reproducible for a fixed seed.
-	again, err := CrossValidate(feats, labels, 3, 5, TrainOpts{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range accs {
-		if accs[i] != again[i] {
-			t.Fatal("cross validation not deterministic")
-		}
-	}
-}
-
-func TestCrossValidateValidation(t *testing.T) {
-	feats, labels, _ := makeClusters(256, 2, 3, 0.2, 42)
-	for name, f := range map[string]func() ([]float64, error){
-		"folds-low":  func() ([]float64, error) { return CrossValidate(feats, labels, 2, 1, TrainOpts{}) },
-		"folds-high": func() ([]float64, error) { return CrossValidate(feats, labels, 2, 100, TrainOpts{}) },
-		"misaligned": func() ([]float64, error) { return CrossValidate(feats, labels[:2], 2, 2, TrainOpts{}) },
-	} {
-		if _, err := f(); err == nil {
-			t.Fatalf("%s did not error", name)
-		}
-	}
-}

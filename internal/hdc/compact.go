@@ -21,12 +21,12 @@ import (
 // demand.
 //
 // Exactness contract: the Bin words round-trip bit-for-bit, so every scoring
-// path that consumes only the binarised memory (Hamming, the fused
-// rematerializing kernels — i.e. the entire serving hot path) produces
-// byte-identical scores from a compact round-trip. The float accumulators are
-// lossy: dequantisation yields q*scale with relative error ≤ ~1/32767, which
-// only matters for cosine scoring and further online training; tenantbench
-// measures the resulting prediction agreement.
+// path that consumes only the binarised memory (Hamming and the fused
+// rematerializing kernels) produces byte-identical scores from a compact
+// round-trip. The float accumulators are lossy: dequantisation yields
+// q*scale with relative error ≤ ~1/32767. That reaches cosine scoring, which
+// is what /predict and /detect serve, and further online training;
+// TestCompactPredictAgreement pins that cosine predictions survive it.
 
 // compactMagic prefixes the compact wire form; geometry is validated before
 // any payload-proportional allocation, mirroring Load.

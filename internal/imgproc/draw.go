@@ -29,34 +29,6 @@ func (m *Image) FillEllipse(cx, cy, rx, ry, theta float64, v uint8) {
 	}
 }
 
-// StrokeEllipse paints the outline of the ellipse with the given stroke
-// thickness (in pixels).
-func (m *Image) StrokeEllipse(cx, cy, rx, ry, theta, thick float64, v uint8) {
-	if rx <= 0 || ry <= 0 {
-		return
-	}
-	r := math.Max(rx, ry) + thick
-	x0, x1 := int(cx-r)-1, int(cx+r)+1
-	y0, y1 := int(cy-r)-1, int(cy+r)+1
-	sin, cos := math.Sincos(theta)
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			dx, dy := float64(x)-cx, float64(y)-cy
-			u := dx*cos + dy*sin
-			w := -dx*sin + dy*cos
-			d := u*u/(rx*rx) + w*w/(ry*ry)
-			// Annulus approximation of a stroked conic.
-			inner := 1 - thick/math.Min(rx, ry)
-			if inner < 0 {
-				inner = 0
-			}
-			if d <= 1 && d >= inner*inner {
-				m.Set(x, y, v)
-			}
-		}
-	}
-}
-
 // Line draws a straight segment of the given thickness from (x0, y0) to
 // (x1, y1).
 func (m *Image) Line(x0, y0, x1, y1, thick float64, v uint8) {

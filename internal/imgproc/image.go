@@ -1,7 +1,7 @@
 // Package imgproc provides the grayscale image substrate HDFace operates
 // on: an 8-bit image type, geometric and intensity transforms, drawing
-// primitives used by the procedural dataset renderer, integral images, and
-// PGM serialisation for the Figure 6 visualiser.
+// primitives used by the procedural dataset renderer, and PGM
+// serialisation for the Figure 6 visualiser.
 package imgproc
 
 import (
@@ -159,57 +159,6 @@ func (m *Image) Equal(o *Image) bool {
 		}
 	}
 	return true
-}
-
-// Integral is a summed-area table: I[y][x] = sum of pixels in [0,x) x [0,y).
-// It answers rectangle sums in O(1), the primitive HAAR-like features and
-// fast mean normalisation build on.
-type Integral struct {
-	w, h int
-	sum  []int64
-}
-
-// NewIntegral builds the summed-area table of m.
-func NewIntegral(m *Image) *Integral {
-	w, h := m.W+1, m.H+1
-	it := &Integral{w: w, h: h, sum: make([]int64, w*h)}
-	for y := 1; y < h; y++ {
-		var row int64
-		for x := 1; x < w; x++ {
-			row += int64(m.Pix[(y-1)*m.W+(x-1)])
-			it.sum[y*w+x] = it.sum[(y-1)*w+x] + row
-		}
-	}
-	return it
-}
-
-// Rect returns the pixel sum over [x0, x1) x [y0, y1).
-func (it *Integral) Rect(x0, y0, x1, y1 int) int64 {
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 > it.w-1 {
-		x1 = it.w - 1
-	}
-	if y1 > it.h-1 {
-		y1 = it.h - 1
-	}
-	if x1 <= x0 || y1 <= y0 {
-		return 0
-	}
-	return it.sum[y1*it.w+x1] - it.sum[y0*it.w+x1] - it.sum[y1*it.w+x0] + it.sum[y0*it.w+x0]
-}
-
-// MeanRect returns the mean pixel value over the rectangle.
-func (it *Integral) MeanRect(x0, y0, x1, y1 int) float64 {
-	n := int64(x1-x0) * int64(y1-y0)
-	if n <= 0 {
-		return 0
-	}
-	return float64(it.Rect(x0, y0, x1, y1)) / float64(n)
 }
 
 // Validate checks structural invariants and is used by decoding paths.

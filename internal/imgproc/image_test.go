@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewImageZeroed(t *testing.T) {
@@ -135,50 +134,6 @@ func TestResizeDownUpRoughlyPreservesMean(t *testing.T) {
 	}
 }
 
-func TestIntegral(t *testing.T) {
-	m := NewImage(4, 4)
-	m.Fill(1)
-	it := NewIntegral(m)
-	if got := it.Rect(0, 0, 4, 4); got != 16 {
-		t.Fatalf("full-rect sum %d", got)
-	}
-	if got := it.Rect(1, 1, 3, 3); got != 4 {
-		t.Fatalf("inner sum %d", got)
-	}
-	if got := it.Rect(2, 2, 2, 2); got != 0 {
-		t.Fatalf("empty rect sum %d", got)
-	}
-	if got := it.MeanRect(0, 0, 4, 4); got != 1 {
-		t.Fatalf("mean %v", got)
-	}
-	// Clamped query.
-	if got := it.Rect(-5, -5, 10, 10); got != 16 {
-		t.Fatalf("clamped sum %d", got)
-	}
-}
-
-func TestIntegralMatchesBruteForce(t *testing.T) {
-	m := NewImage(9, 7)
-	for i := range m.Pix {
-		m.Pix[i] = uint8((i * 37) % 251)
-	}
-	it := NewIntegral(m)
-	f := func(a, b, c, d uint8) bool {
-		x0, y0 := int(a)%9, int(b)%7
-		x1, y1 := x0+int(c)%5, y0+int(d)%5
-		var want int64
-		for y := y0; y < y1 && y < 7; y++ {
-			for x := x0; x < x1 && x < 9; x++ {
-				want += int64(m.Pix[y*9+x])
-			}
-		}
-		return it.Rect(x0, y0, x1, y1) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	m := NewImage(2, 2)
 	if err := m.Validate(); err != nil {
@@ -213,17 +168,6 @@ func TestFillEllipseRotated(t *testing.T) {
 	}
 	if m.At(33, 20) != 0 {
 		t.Fatal("rotated ellipse still horizontal")
-	}
-}
-
-func TestStrokeEllipseHollow(t *testing.T) {
-	m := NewImage(41, 41)
-	m.StrokeEllipse(20, 20, 12, 12, 0, 2, 255)
-	if m.At(20, 20) != 0 {
-		t.Fatal("stroke filled the centre")
-	}
-	if m.At(20, 8) != 255 {
-		t.Fatal("stroke missing on rim")
 	}
 }
 

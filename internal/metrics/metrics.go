@@ -1,7 +1,6 @@
 // Package metrics provides the classification metrics the evaluation
 // reports: confusion matrices, accuracy, per-class precision/recall/F1 and
-// macro averages, plus detection-oriented counts for the sliding-window
-// experiments.
+// macro averages.
 package metrics
 
 import (
@@ -146,56 +145,4 @@ func (c *Confusion) String() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// Detection aggregates sliding-window detection outcomes.
-type Detection struct {
-	TruePos, FalsePos, TrueNeg, FalseNeg int64
-}
-
-// Observe records one window.
-func (d *Detection) Observe(predicted, truth bool) {
-	switch {
-	case predicted && truth:
-		d.TruePos++
-	case predicted && !truth:
-		d.FalsePos++
-	case !predicted && truth:
-		d.FalseNeg++
-	default:
-		d.TrueNeg++
-	}
-}
-
-// Precision returns TP/(TP+FP).
-func (d *Detection) Precision() float64 {
-	den := d.TruePos + d.FalsePos
-	if den == 0 {
-		return 0
-	}
-	return float64(d.TruePos) / float64(den)
-}
-
-// Recall returns TP/(TP+FN).
-func (d *Detection) Recall() float64 {
-	den := d.TruePos + d.FalseNeg
-	if den == 0 {
-		return 0
-	}
-	return float64(d.TruePos) / float64(den)
-}
-
-// F1 returns the detection F1 score.
-func (d *Detection) F1() float64 {
-	p, r := d.Precision(), d.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// String summarises the counts.
-func (d *Detection) String() string {
-	return fmt.Sprintf("tp=%d fp=%d fn=%d tn=%d precision=%.3f recall=%.3f f1=%.3f",
-		d.TruePos, d.FalsePos, d.FalseNeg, d.TrueNeg, d.Precision(), d.Recall(), d.F1())
 }

@@ -101,34 +101,3 @@ func TestConfusionString(t *testing.T) {
 		t.Fatal("long name not truncated")
 	}
 }
-
-func TestDetectionCounts(t *testing.T) {
-	var d Detection
-	d.Observe(true, true)   // tp
-	d.Observe(true, true)   // tp
-	d.Observe(true, false)  // fp
-	d.Observe(false, true)  // fn
-	d.Observe(false, false) // tn
-	if d.TruePos != 2 || d.FalsePos != 1 || d.FalseNeg != 1 || d.TrueNeg != 1 {
-		t.Fatalf("counts wrong: %+v", d)
-	}
-	if got := d.Precision(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("precision %v", got)
-	}
-	if got := d.Recall(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("recall %v", got)
-	}
-	if got := d.F1(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("f1 %v", got)
-	}
-}
-
-func TestDetectionZeroGuards(t *testing.T) {
-	var d Detection
-	if d.Precision() != 0 || d.Recall() != 0 || d.F1() != 0 {
-		t.Fatal("empty detection metrics should be 0")
-	}
-	if !strings.Contains(d.String(), "tp=0") {
-		t.Fatalf("string %q", d.String())
-	}
-}

@@ -3,11 +3,14 @@ package tenant
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"hdface"
 	"hdface/internal/dataset"
@@ -429,4 +432,96 @@ func TestHostileBlobOnDisk(t *testing.T) {
 	if _, _, err := s2.Model("acme"); err == nil {
 		t.Fatal("truncated payload materialized without error")
 	}
+}
+
+// gatePipeline trains the fixture the compact store's footprint and
+// promote-latency contracts are stated at: a binary face/non-face model at
+// D=2048 on sixteen 48x48 crops.
+func gatePipeline(tb testing.TB) *hdface.Pipeline {
+	tb.Helper()
+	r := hv.NewRNG(7 ^ 0x7e4a)
+	var imgs []*hdface.Image
+	var labels []int
+	for i := 0; i < 16; i++ {
+		if i%2 == 0 {
+			imgs = append(imgs, dataset.RenderFace(48, 48, dataset.Emotion(r.Intn(7)), r))
+			labels = append(labels, 1)
+		} else {
+			imgs = append(imgs, dataset.RenderNonFace(48, 48, r))
+			labels = append(labels, 0)
+		}
+	}
+	p := hdface.New(hdface.Config{D: 2048, Seed: 7, Workers: 1, WorkingSize: 48, Stride: 3})
+	if err := p.Fit(imgs, labels, 2); err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// TestBytesPerModelAtD2048 pins the store's footprint contract: a resident
+// version is one hdface-model/v2 blob, at most 64 KB at D=2048, because
+// the bases are rematerialized from the seed and never stored.
+func TestBytesPerModelAtD2048(t *testing.T) {
+	p := gatePipeline(t)
+	var v2 bytes.Buffer
+	if err := hdface.EncodeSnapshotV2(&v2, p.Config(), p.Model()); err != nil {
+		t.Fatal(err)
+	}
+	if n := v2.Len(); n == 0 || n > 64<<10 {
+		t.Fatalf("v2 blob is %d bytes at D=%d, want (0, 65536]", n, p.Config().D)
+	}
+}
+
+// BenchmarkPromote times Store.Promote, one LIVE-file rename plus an atomic
+// pointer store, on a persistent store reopened with 128 seeded tenants
+// whose live versions are materialized. Each op is a Put and a Promote on
+// one tenant, after 20 warm-up ops; p50-ms and p99-ms cover the Promotes
+// alone. scripts/check.sh runs it with -benchtime=500x and requires p99
+// under 1 ms.
+func BenchmarkPromote(b *testing.B) {
+	p := gatePipeline(b)
+	cfg, m := p.Config(), p.Model()
+	dir := b.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const tenants = 128
+	for i := 0; i < tenants; i++ {
+		if _, err := s.Seed(fmt.Sprintf("t%04d", i), cfg, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s, err = Open(Config{Dir: dir}); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < tenants; i++ {
+		if _, _, err := s.Model(fmt.Sprintf("t%04d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cycle := func() time.Duration {
+		id, err := s.Put("t0000", cfg, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 := time.Now()
+		if err := s.Promote("t0000", id); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	lats := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range lats {
+		lats[i] = cycle()
+	}
+	b.StopTimer()
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	ms := func(q float64) float64 { return float64(lats[int(q*float64(len(lats)-1))]) / 1e6 }
+	b.ReportMetric(ms(0.50), "p50-ms")
+	b.ReportMetric(ms(0.99), "p99-ms")
 }

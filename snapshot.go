@@ -66,7 +66,12 @@ func EncodeSnapshotV2(w io.Writer, cfg Config, model *hdc.Model) error {
 	return encodeSnapshot(w, cfg, model, true)
 }
 
+// encodeSnapshot refuses, before writing its first byte, any config the
+// decoder would refuse, so no caller can save a snapshot nothing can load.
 func encodeSnapshot(w io.Writer, cfg Config, model *hdc.Model, compact bool) error {
+	if err := validateSnapshotConfig(cfg); err != nil {
+		return err
+	}
 	magic := snapshotMagic
 	if compact {
 		magic = snapshotMagicV2

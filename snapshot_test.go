@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/gob"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -193,6 +194,28 @@ func TestSnapshotRejectsHostileInput(t *testing.T) {
 			t.Errorf("config %s: accepted", name)
 		} else if !strings.Contains(err.Error(), "snapshot config") {
 			t.Errorf("config %s: error %q does not blame the config", name, err)
+		}
+	}
+
+	// The encoders refuse the same configs before writing a byte, so a
+	// pipeline built with an unknown mode cannot save a snapshot that no
+	// decoder would load.
+	for _, mode := range []hdface.Mode{2, 9} {
+		cfg := hdface.Config{D: 512, Mode: mode, Workers: 1}
+		encoders := map[string]func(io.Writer) error{
+			"SaveSnapshot":     hdface.New(cfg).SaveSnapshot,
+			"EncodeSnapshotV2": func(w io.Writer) error { return hdface.EncodeSnapshotV2(w, cfg, p.Model()) },
+		}
+		for name, encode := range encoders {
+			var out bytes.Buffer
+			if err := encode(&out); err == nil {
+				t.Errorf("%s with mode %d: accepted", name, mode)
+			} else if !strings.Contains(err.Error(), "snapshot config") {
+				t.Errorf("%s with mode %d: error %q does not blame the config", name, mode, err)
+			}
+			if out.Len() != 0 {
+				t.Errorf("%s with mode %d: wrote %d bytes before refusing", name, mode, out.Len())
+			}
 		}
 	}
 
