@@ -31,7 +31,6 @@ func main() {
 		seed  = flag.Uint64("seed", 7, "random seed")
 		out   = flag.String("out", "", "directory for PGM artefacts (created if missing)")
 		list  = flag.Bool("list", false, "list experiments and exit")
-		csv   = flag.String("csv", "", "directory to export experiment data as CSV (runs the tabular experiments)")
 	)
 	of := obscli.Register(flag.CommandLine)
 	flag.Parse()
@@ -48,18 +47,6 @@ func main() {
 	}
 
 	opts := experiments.Options{Seed: *seed, Quick: *quick, OutDir: *out}
-	if *csv != "" {
-		if err := experiments.WriteCSV(*csv, opts); err != nil {
-			fmt.Fprintln(os.Stderr, "hdface-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("CSV data written to %s\n", *csv)
-		if err := of.Finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "hdface-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "hdface-bench:", err)

@@ -132,7 +132,7 @@ func cmdTrain(args []string) error {
 		return err
 	}
 	fmt.Printf("training %s on %s (%d samples, D=%d, %s)\n",
-		*modelPath, ds.Name, len(imgs), *d, hdface.ModeStochHOG)
+		*modelPath, ds.Name, len(imgs), *d, p.Config().Mode)
 	if err := p.Fit(imgs, labels, ds.NumClasses); err != nil {
 		return err
 	}
@@ -164,7 +164,8 @@ func cmdTrain(args []string) error {
 }
 
 // trainFromCache trains a classifier directly on cached hypervector
-// features.
+// features. It trains through Pipeline.FitFeatures, as train does through
+// Fit, so the same features and seed give a byte-identical model file.
 func trainFromCache(featPath, modelPath string, k int, seed uint64) error {
 	f, err := os.Open(featPath)
 	if err != nil {
@@ -185,11 +186,11 @@ func trainFromCache(featPath, modelPath string, k int, seed uint64) error {
 	if k < 2 {
 		return fmt.Errorf("inferred class count %d; pass -k", k)
 	}
-	model, err := hdc.Train(feats, labels, k, hdc.TrainOpts{Seed: seed})
-	if err != nil {
+	p := hdface.New(hdface.Config{D: feats[0].D(), Seed: seed})
+	if err := p.FitFeatures(feats, labels, k); err != nil {
 		return err
 	}
-	model.Finalize(seed)
+	model := p.Model()
 	fmt.Printf("trained on %d cached features (D=%d, k=%d); train accuracy %.3f\n",
 		len(feats), model.D, k, model.Accuracy(feats, labels))
 	out, err := os.Create(modelPath)
@@ -526,8 +527,7 @@ func cmdServe(args []string) error {
 		MaxQueue:      *maxQueue,
 		FlushInterval: *flush,
 		MaxDeadline:   *deadline,
-		DetectWin:     *win,
-		DetectParams:  detect.Params{Stride: *stride},
+		DetectParams:  detect.Params{Win: *win, Stride: *stride},
 		SLOTarget:     *sloTarget,
 		SLOObjective:  *sloObjective,
 		SLOWindow:     *sloWindow,

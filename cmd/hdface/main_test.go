@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"hdface"
 	"hdface/internal/obs"
 )
 
@@ -106,24 +110,65 @@ func TestDetectRejectsMulticlassModel(t *testing.T) {
 	}
 }
 
+// TestFeatureCacheWorkflow trains once from a feature cache and once from
+// the images the cache was extracted from, with the same flags: the two
+// model files must be byte-identical.
 func TestFeatureCacheWorkflow(t *testing.T) {
 	dir := t.TempDir()
-	cache := filepath.Join(dir, "emotion.hvf")
-	model := filepath.Join(dir, "emotion.hdc")
+	cache := filepath.Join(dir, "face2.hvf")
+	cached := filepath.Join(dir, "cached.hdc")
+	direct := filepath.Join(dir, "direct.hdc")
 	if err := cmdFeatures([]string{
-		"-dataset", "emotion", "-d", "512", "-n", "21", "-size", "24",
+		"-dataset", "face2", "-d", "1024", "-n", "8", "-size", "24", "-seed", "7",
 		"-out", cache}); err != nil {
 		t.Fatalf("features: %v", err)
 	}
-	if _, err := os.Stat(cache); err != nil {
-		t.Fatal("cache missing")
-	}
 	if err := cmdTrain([]string{
-		"-features", cache, "-model", model}); err != nil {
+		"-features", cache, "-k", "2", "-seed", "7", "-model", cached}); err != nil {
 		t.Fatalf("train from cache: %v", err)
 	}
-	if _, err := os.Stat(model); err != nil {
-		t.Fatal("model missing")
+	if err := cmdTrain([]string{
+		"-dataset", "face2", "-d", "1024", "-n", "8", "-test", "2", "-size", "24", "-seed", "7",
+		"-model", direct}); err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	a, err := os.ReadFile(cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("training from the feature cache and from images gave different model files")
+	}
+}
+
+// TestTrainReportsMode checks that train's progress line names the mode
+// the pipeline was built with.
+func TestTrainReportsMode(t *testing.T) {
+	model := filepath.Join(t.TempDir(), "orig.hdc")
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = cmdTrain([]string{
+		"-dataset", "face2", "-mode", "orig", "-d", "512", "-n", "8", "-test", "2",
+		"-size", "24", "-model", model})
+	os.Stdout = stdout
+	w.Close()
+	out, rerr := io.ReadAll(r)
+	if err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if want := "D=512, " + hdface.ModeOrigHOG.String() + ")"; !strings.Contains(string(out), want) {
+		t.Fatalf("train output %q does not contain %q", out, want)
 	}
 }
 

@@ -1,8 +1,6 @@
 package dataset
 
 import (
-	"fmt"
-
 	"hdface/internal/hv"
 	"hdface/internal/imgproc"
 )
@@ -86,12 +84,6 @@ func renderSplit(spec Spec, n int, r *hv.RNG) []Sample {
 	}
 	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
-}
-
-// String summarises the dataset like a Table 1 row.
-func (d *Dataset) String() string {
-	return fmt.Sprintf("%s: %dx%d, k=%d, train=%d, test=%d",
-		d.Name, d.ImageSize, d.ImageSize, d.NumClasses, len(d.Train), len(d.Test))
 }
 
 // Scene is a composite image with known face locations, used by the

@@ -161,14 +161,6 @@ func TestSpecs(t *testing.T) {
 	}
 }
 
-func TestDatasetString(t *testing.T) {
-	ds := Generate(SpecEmotion, 7, 7, 1)
-	got := ds.String()
-	if got != "EMOTION: 48x48, k=7, train=7, test=7" {
-		t.Fatalf("String() = %q", got)
-	}
-}
-
 func TestGenerateScene(t *testing.T) {
 	sc := GenerateScene(200, 150, 48, 3, 11)
 	if sc.Image.W != 200 || sc.Image.H != 150 {
@@ -230,38 +222,5 @@ func BenchmarkRenderNonFace48(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		RenderNonFace(48, 48, r)
-	}
-}
-
-func TestGenerateSequence(t *testing.T) {
-	frames := GenerateSequence(160, 120, 40, 6, 2, 21)
-	if len(frames) != 6 {
-		t.Fatalf("frames %d, want 6", len(frames))
-	}
-	for f, fr := range frames {
-		if fr.Image.W != 160 || fr.Image.H != 120 {
-			t.Fatal("frame size wrong")
-		}
-		if len(fr.Boxes) != 2 {
-			t.Fatalf("frame %d has %d boxes", f, len(fr.Boxes))
-		}
-		for _, b := range fr.Boxes {
-			if b[0] < 0 || b[1] < 0 || b[2] > 160 || b[3] > 120 {
-				t.Fatalf("frame %d box out of canvas: %v", f, b)
-			}
-			if b[2]-b[0] != 40 || b[3]-b[1] != 40 {
-				t.Fatalf("frame %d box wrong size: %v", f, b)
-			}
-		}
-	}
-	// Subjects must actually move across the clip.
-	first, last := frames[0].Boxes[0], frames[len(frames)-1].Boxes[0]
-	if first == last {
-		t.Fatal("subject did not move")
-	}
-	// Determinism.
-	again := GenerateSequence(160, 120, 40, 6, 2, 21)
-	if !again[3].Image.Equal(frames[3].Image) {
-		t.Fatal("sequence not deterministic")
 	}
 }

@@ -58,6 +58,14 @@ func (s ScenarioSpec) withDefaults() ScenarioSpec {
 	return s
 }
 
+// SequenceFrame is one frame of a synthetic surveillance clip with
+// ground-truth face boxes (one per subject, in subject order; a subject
+// that has left the canvas gets a zero box).
+type SequenceFrame struct {
+	Image *imgproc.Image
+	Boxes [][4]int
+}
+
 // scenarioActor is one identity: a fixed face, a path, and a lifetime.
 type scenarioActor struct {
 	face         *imgproc.Image
@@ -65,10 +73,10 @@ type scenarioActor struct {
 	enter, exit  int // present in frames [enter, exit)
 }
 
-// GenerateScenario renders the clip. Ground truth follows the SequenceFrame
-// convention: Boxes[i] is subject i's box, zero while the subject is absent
-// (not yet entered, already left — occluded subjects keep their box: they
-// are still there, the detector just cannot see them).
+// GenerateScenario renders the clip. Boxes[i] is subject i's box, zero
+// while the subject is absent (not yet entered, already left — occluded
+// subjects keep their box: they are still there, the detector just cannot
+// see them).
 func GenerateScenario(spec ScenarioSpec) []SequenceFrame {
 	spec = spec.withDefaults()
 	r := hv.NewRNG(spec.Seed ^ 0x5ce2)
@@ -151,4 +159,14 @@ func GenerateScenario(spec ScenarioSpec) []SequenceFrame {
 		out[f] = fr
 	}
 	return out
+}
+
+func clampF(v, lo, hi float64) float64 {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,13 +97,18 @@ func TestSweepCancelledMidSweepIsCoarseFirst(t *testing.T) {
 	}
 }
 
-// slowLevel sleeps per window so a deadline expires mid-sweep.
+// slowLevel sleeps per window so a deadline expires mid-sweep. A non-nil
+// onScore runs before every window.
 type slowLevel struct {
-	w, h  int
-	delay time.Duration
+	w, h    int
+	delay   time.Duration
+	onScore func()
 }
 
 func (l *slowLevel) ScoreAt(x, y, idx int) (bool, float64) {
+	if l.onScore != nil {
+		l.onScore()
+	}
 	time.Sleep(l.delay)
 	return stubScore(l.w, l.h, idx)
 }
@@ -110,18 +116,55 @@ func (l *slowLevel) Fork() LevelScorer { return l }
 
 type slowScorer struct {
 	stubScorer
-	delay time.Duration
+	delay   time.Duration
+	onScore func()
 }
 
 func (s *slowScorer) PrepareLevel(level *imgproc.Image, levelIdx, win, workers int) LevelScorer {
-	return &slowLevel{w: level.W, h: level.H, delay: s.delay}
+	return &slowLevel{w: level.W, h: level.H, delay: s.delay, onScore: s.onScore}
+}
+
+// scoringDeadline is a context whose deadline timer starts when arm is
+// first called rather than at construction, so a budget can be made to
+// cover window scoring alone: on a loaded host the pyramid build can
+// outlast a short budget before any window is scored. Once the timer fires,
+// Err reports context.DeadlineExceeded, as a WithTimeout context would.
+type scoringDeadline struct {
+	context.Context
+	budget  time.Duration
+	once    sync.Once
+	done    chan struct{}
+	expired atomic.Bool
+}
+
+func newScoringDeadline(budget time.Duration) *scoringDeadline {
+	return &scoringDeadline{Context: context.Background(), budget: budget, done: make(chan struct{})}
+}
+
+func (c *scoringDeadline) arm() {
+	c.once.Do(func() {
+		time.AfterFunc(c.budget, func() {
+			c.expired.Store(true)
+			close(c.done)
+		})
+	})
+}
+
+func (c *scoringDeadline) Done() <-chan struct{} { return c.done }
+
+func (c *scoringDeadline) Err() error {
+	if c.expired.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 func TestSweepDeadlineReturnsBestSoFar(t *testing.T) {
-	// 655 windows at 1ms each would take >600ms; the 20ms budget must blow.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	boxes, stats, err := Sweep(ctx, texturedImage(), &slowScorer{delay: time.Millisecond}, resilienceParams)
+	// 655 windows at 1ms each would take >600ms; the 20ms budget, started
+	// at the first scored window, must blow.
+	ctx := newScoringDeadline(20 * time.Millisecond)
+	slow := &slowScorer{delay: time.Millisecond, onScore: ctx.arm}
+	boxes, stats, err := Sweep(ctx, texturedImage(), slow, resilienceParams)
 	if err != nil {
 		t.Fatalf("anytime contract broken: %v", err)
 	}

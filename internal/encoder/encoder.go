@@ -7,22 +7,10 @@ package encoder
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"hdface/internal/hv"
 )
-
-// Encoder maps a fixed-length float feature vector to a hypervector.
-type Encoder interface {
-	// Encode returns the hypervector of features. Implementations panic if
-	// len(features) differs from Features().
-	Encode(features []float64) *hv.Vector
-	// D returns the output dimensionality.
-	D() int
-	// Features returns the expected input length.
-	Features() int
-}
 
 // Stats counts encoding work for the hardware model.
 type Stats struct {
@@ -76,15 +64,6 @@ func NewIDLevel(d, nFeat, nLevels int, lo, hi float64, seed uint64) *IDLevel {
 	e.tie = hv.NewRand(r, d)
 	return e
 }
-
-// D returns the output dimensionality.
-func (e *IDLevel) D() int { return e.d }
-
-// Features returns the expected feature count.
-func (e *IDLevel) Features() int { return e.nFeat }
-
-// Levels returns the quantisation level count.
-func (e *IDLevel) Levels() int { return e.nLevels }
 
 // quantise maps a feature value to its level index.
 func (e *IDLevel) quantise(v float64) int {
@@ -176,17 +155,4 @@ func (e *Projection) Encode(features []float64) *hv.Vector {
 		}
 	}
 	return out
-}
-
-// Similarity preservation diagnostic: expected hypervector cosine for two
-// inputs with angle theta between them under the projection encoder is
-// 1 - 2*theta/pi (the sign-random-projection kernel). Exported for tests
-// and documentation.
-func ProjectionKernel(cosTheta float64) float64 {
-	if cosTheta > 1 {
-		cosTheta = 1
-	} else if cosTheta < -1 {
-		cosTheta = -1
-	}
-	return 1 - 2*math.Acos(cosTheta)/math.Pi
 }

@@ -9,9 +9,6 @@ import (
 
 func TestIDLevelBasics(t *testing.T) {
 	e := NewIDLevel(2048, 10, 16, 0, 1, 1)
-	if e.D() != 2048 || e.Features() != 10 || e.Levels() != 16 {
-		t.Fatalf("accessors wrong")
-	}
 	v := e.Encode(make([]float64, 10))
 	if v.D() != 2048 {
 		t.Fatal("output dimension wrong")
@@ -175,32 +172,11 @@ func TestProjectionPreservesAngles(t *testing.T) {
 		nb += b[i] * b[i]
 	}
 	cosTheta := dot / math.Sqrt(na*nb)
-	want := ProjectionKernel(cosTheta)
+	want := 1 - 2*math.Acos(cosTheta)/math.Pi
 	got := e.Encode(a).Cos(e.Encode(b))
 	if math.Abs(got-want) > 0.08 {
 		t.Fatalf("kernel mismatch: got %v, want %v (cosTheta %v)", got, want, cosTheta)
 	}
-}
-
-func TestProjectionKernelEndpoints(t *testing.T) {
-	if ProjectionKernel(1) != 1 {
-		t.Fatal("kernel(1) != 1")
-	}
-	if math.Abs(ProjectionKernel(-1)+1) > 1e-12 {
-		t.Fatal("kernel(-1) != -1")
-	}
-	if math.Abs(ProjectionKernel(0)) > 1e-12 {
-		t.Fatal("kernel(0) != 0")
-	}
-	// Clamping.
-	if ProjectionKernel(2) != 1 || ProjectionKernel(-2) != -1 {
-		t.Fatal("kernel does not clamp")
-	}
-}
-
-func TestEncodersImplementInterface(t *testing.T) {
-	var _ Encoder = NewIDLevel(256, 4, 8, 0, 1, 1)
-	var _ Encoder = NewProjection(256, 4, 1)
 }
 
 func BenchmarkIDLevelEncode(b *testing.B) {

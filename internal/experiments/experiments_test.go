@@ -339,24 +339,6 @@ func TestDimReduce(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	dir := t.TempDir()
-	o := tinyOpts()
-	if err := WriteCSV(dir, o); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{"fig2.csv", "fig4.csv", "fig5a.csv", "fig5b.csv",
-		"table2.csv", "fewshot.csv", "dimreduce.csv", "occlusion.csv", "dse.csv"} {
-		data, err := os.ReadFile(filepath.Join(dir, f))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		if len(strings.Split(strings.TrimSpace(string(data)), "\n")) < 2 {
-			t.Fatalf("%s: header only", f)
-		}
-	}
-}
-
 func TestOcclusion(t *testing.T) {
 	o := tinyOpts()
 	pts, err := OcclusionData(o)

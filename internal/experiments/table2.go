@@ -144,14 +144,6 @@ func cloneAll(vs []*hv.Vector) []*hv.Vector {
 	return out
 }
 
-func cloneMatrix(m [][]float64) [][]float64 {
-	out := make([][]float64, len(m))
-	for i, row := range m {
-		out[i] = append([]float64(nil), row...)
-	}
-	return out
-}
-
 func cloneModelBin(m *hdc.Model) *hdc.Model {
 	c := &hdc.Model{D: m.D, K: m.K, Classes: m.Classes}
 	c.Bin = cloneAll(m.Bin)

@@ -82,9 +82,6 @@ func New(plan Plan) *Harness {
 	return &Harness{plan: plan, inj: noise.New(hv.Mix64(plan.Seed, saltFeat))}
 }
 
-// Plan returns the harness's scenario.
-func (h *Harness) Plan() Plan { return h.plan }
-
 // Stats returns what the harness has done so far.
 func (h *Harness) Stats() Stats { return h.stats }
 
@@ -153,12 +150,6 @@ func (h *Harness) Repair(m *hdc.Model, features []*hv.Vector, labels []int) int 
 	h.stats.Repairs++
 	obsRepairs.Inc()
 	return rebuilt
-}
-
-// InjectVectors applies one transient injection pass to a batch of feature
-// hypervectors, keyed per slice index. Returns the flip count.
-func (h *Harness) InjectVectors(vs []*hv.Vector) int {
-	return h.inj.FlipVectors(vs, h.plan.BER)
 }
 
 // BeginSweep resets the grid fault sequence, so the grids of the next

@@ -1,18 +1,14 @@
 package hv
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Accumulator is a per-dimension integer counter used to bundle many
-// hypervectors: Add/Sub update signed counts, Sign thresholds back to a
-// binary hypervector. It is the superposition ("bundling") memory that HDC
-// class vectors are built from before binarisation.
+// hypervectors: Add/AddScaled update signed counts, Sign thresholds back to
+// a binary hypervector. It is the superposition ("bundling") memory that
+// HDC class vectors are built from before binarisation.
 type Accumulator struct {
 	d      int
 	counts []int32
-	n      int // signed number of vectors accumulated (adds - subs)
 }
 
 // NewAccumulator returns an empty accumulator of dimensionality d.
@@ -21,23 +17,6 @@ func NewAccumulator(d int) *Accumulator {
 		panic("hv: dimensionality must be positive")
 	}
 	return &Accumulator{d: d, counts: make([]int32, d)}
-}
-
-// D returns the dimensionality.
-func (a *Accumulator) D() int { return a.d }
-
-// N returns the signed count of accumulated vectors.
-func (a *Accumulator) N() int { return a.n }
-
-// Counts exposes the raw per-dimension counters (mutable).
-func (a *Accumulator) Counts() []int32 { return a.counts }
-
-// Reset zeroes the accumulator.
-func (a *Accumulator) Reset() {
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
-	a.n = 0
 }
 
 func (a *Accumulator) mustMatch(v *Vector) {
@@ -53,7 +32,6 @@ func (a *Accumulator) Add(v *Vector) {
 		w := v.words[i/64] >> (uint(i) % 64) & 1
 		a.counts[i] += int32(2*w) - 1
 	}
-	a.n++
 }
 
 // AddScaled accumulates round(scale) copies of v's sign pattern using an
@@ -64,17 +42,6 @@ func (a *Accumulator) AddScaled(v *Vector, scale int32) {
 		w := v.words[i/64] >> (uint(i) % 64) & 1
 		a.counts[i] += (int32(2*w) - 1) * scale
 	}
-	a.n += int(scale)
-}
-
-// Sub removes v (inverse of Add).
-func (a *Accumulator) Sub(v *Vector) {
-	a.mustMatch(v)
-	for i := 0; i < a.d; i++ {
-		w := v.words[i/64] >> (uint(i) % 64) & 1
-		a.counts[i] -= int32(2*w) - 1
-	}
-	a.n--
 }
 
 // Sign thresholds the accumulator into a binary hypervector: positive counts
@@ -97,48 +64,4 @@ func (a *Accumulator) Sign(tie *Vector) (*Vector, int) {
 		}
 	}
 	return out, ties
-}
-
-// Dot returns the integer dot product between the accumulated counts and a
-// binary hypervector interpreted in ±1 semantics.
-func (a *Accumulator) Dot(v *Vector) int64 {
-	a.mustMatch(v)
-	var s int64
-	for i := 0; i < a.d; i++ {
-		w := v.words[i/64] >> (uint(i) % 64) & 1
-		c := int64(a.counts[i])
-		if w == 1 {
-			s += c
-		} else {
-			s -= c
-		}
-	}
-	return s
-}
-
-// Norm returns the L2 norm of the counter vector.
-func (a *Accumulator) Norm() float64 {
-	var s float64
-	for _, c := range a.counts {
-		s += float64(c) * float64(c)
-	}
-	return math.Sqrt(s)
-}
-
-// Cos returns cosine similarity between the counters and binary vector v.
-// Returns 0 for an empty accumulator.
-func (a *Accumulator) Cos(v *Vector) float64 {
-	n := a.Norm()
-	if n == 0 {
-		return 0
-	}
-	return float64(a.Dot(v)) / (n * math.Sqrt(float64(a.d)))
-}
-
-// Clone deep-copies the accumulator.
-func (a *Accumulator) Clone() *Accumulator {
-	c := NewAccumulator(a.d)
-	copy(c.counts, a.counts)
-	c.n = a.n
-	return c
 }

@@ -20,26 +20,6 @@ func TestAccumulatorAddSign(t *testing.T) {
 	}
 }
 
-func TestAccumulatorAddSubCancel(t *testing.T) {
-	r := NewRNG(2)
-	a := NewRand(r, 512)
-	acc := NewAccumulator(512)
-	acc.Add(a)
-	acc.Sub(a)
-	for i, c := range acc.Counts() {
-		if c != 0 {
-			t.Fatalf("count %d nonzero after add/sub: %d", i, c)
-		}
-	}
-	if acc.N() != 0 {
-		t.Fatalf("N = %d after cancel", acc.N())
-	}
-	_, ties := acc.Sign(nil)
-	if ties != 512 {
-		t.Fatalf("expected all ties, got %d", ties)
-	}
-}
-
 func TestAccumulatorMajoritySimilarity(t *testing.T) {
 	// Bundling n random vectors: each constituent keeps cos ~ C/sqrt(n).
 	r := NewRNG(3)
@@ -74,9 +54,6 @@ func TestAccumulatorAddScaled(t *testing.T) {
 	if !out.Equal(a) {
 		t.Fatal("scale-3 vector did not dominate scale-1")
 	}
-	if acc.N() != 4 {
-		t.Fatalf("N = %d, want 4", acc.N())
-	}
 }
 
 func TestAccumulatorAddScaledNegative(t *testing.T) {
@@ -87,31 +64,6 @@ func TestAccumulatorAddScaledNegative(t *testing.T) {
 	out, _ := acc.Sign(nil)
 	if !out.Equal(a.Neg()) {
 		t.Fatal("negative scale did not negate")
-	}
-}
-
-func TestAccumulatorDotConsistency(t *testing.T) {
-	r := NewRNG(6)
-	d := 512
-	a, q := NewRand(r, d), NewRand(r, d)
-	acc := NewAccumulator(d)
-	acc.Add(a)
-	if got, want := acc.Dot(q), int64(a.Dot(q)); got != want {
-		t.Fatalf("accumulator dot %d, vector dot %d", got, want)
-	}
-}
-
-func TestAccumulatorCos(t *testing.T) {
-	r := NewRNG(7)
-	d := 2048
-	a := NewRand(r, d)
-	acc := NewAccumulator(d)
-	acc.Add(a)
-	if got := acc.Cos(a); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("cos(acc(a), a) = %v, want 1", got)
-	}
-	if got := NewAccumulator(d).Cos(a); got != 0 {
-		t.Fatalf("empty accumulator cos = %v, want 0", got)
 	}
 }
 
@@ -129,25 +81,6 @@ func TestAccumulatorSignTieBreak(t *testing.T) {
 	}
 }
 
-func TestAccumulatorResetClone(t *testing.T) {
-	r := NewRNG(9)
-	a := NewRand(r, 128)
-	acc := NewAccumulator(128)
-	acc.Add(a)
-	c := acc.Clone()
-	acc.Reset()
-	if acc.N() != 0 || acc.Norm() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	if c.N() != 1 {
-		t.Fatal("clone affected by reset")
-	}
-	out, _ := c.Sign(nil)
-	if !out.Equal(a) {
-		t.Fatal("clone contents wrong")
-	}
-}
-
 func TestAccumulatorDimMismatchPanics(t *testing.T) {
 	acc := NewAccumulator(64)
 	defer func() {
@@ -156,20 +89,6 @@ func TestAccumulatorDimMismatchPanics(t *testing.T) {
 		}
 	}()
 	acc.Add(New(128))
-}
-
-// Property: Dot(acc of single v, v) == D for any random v.
-func TestAccumulatorSelfDotProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		v := NewRand(r, 256)
-		acc := NewAccumulator(256)
-		acc.Add(v)
-		return acc.Dot(v) == 256
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Property: accumulation is order-independent (commutative bundling).
@@ -185,8 +104,8 @@ func TestAccumulatorCommutativityProperty(t *testing.T) {
 		a2.Add(vs[2])
 		a2.Add(vs[0])
 		a2.Add(vs[1])
-		for i := range a1.Counts() {
-			if a1.Counts()[i] != a2.Counts()[i] {
+		for i := range a1.counts {
+			if a1.counts[i] != a2.counts[i] {
 				return false
 			}
 		}

@@ -11,7 +11,6 @@ package hv
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -57,15 +56,6 @@ func (v *Vector) maskTail() {
 	}
 }
 
-// tailMask returns the mask of valid bits in the final word (all ones when
-// d is a multiple of 64).
-func (v *Vector) tailMask() uint64 {
-	if r := uint(v.d % 64); r != 0 {
-		return (1 << r) - 1
-	}
-	return ^uint64(0)
-}
-
 // D returns the dimensionality.
 func (v *Vector) D() int { return v.d }
 
@@ -79,12 +69,6 @@ func (v *Vector) Clone() *Vector {
 	w := make([]uint64, len(v.words))
 	copy(w, v.words)
 	return &Vector{d: v.d, words: w}
-}
-
-// CopyFrom overwrites v with the contents of src. Dimensions must match.
-func (v *Vector) CopyFrom(src *Vector) {
-	v.mustMatch(src)
-	copy(v.words, src.words)
 }
 
 // Bit returns the element at dimension i as +1 or -1.
@@ -353,36 +337,4 @@ func fillBernoulli(words []uint64, r *RNG, p float64) {
 		}
 		words[i] = res
 	}
-}
-
-// MajorityOdd bundles an odd number of hypervectors by exact bitwise
-// majority and returns a fresh vector. It panics if len(vs) is even or zero.
-// For large fan-in prefer Accumulator, which is O(n*D/64) with small
-// constants and supports ties.
-func MajorityOdd(vs ...*Vector) *Vector {
-	if len(vs) == 0 || len(vs)%2 == 0 {
-		panic("hv: MajorityOdd requires an odd, positive number of vectors")
-	}
-	acc := NewAccumulator(vs[0].d)
-	for _, v := range vs {
-		acc.Add(v)
-	}
-	out, _ := acc.Sign(nil)
-	return out
-}
-
-// Frac returns the fraction of +1 components, an estimator used in
-// diagnostics and property tests.
-func (v *Vector) Frac() float64 {
-	return float64(v.OnesCount()) / float64(v.d)
-}
-
-// Entropy returns the empirical Shannon entropy (in bits) of the component
-// distribution; a healthy random hypervector is close to 1.
-func (v *Vector) Entropy() float64 {
-	p := v.Frac()
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }

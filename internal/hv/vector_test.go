@@ -76,7 +76,7 @@ func TestFromWords(t *testing.T) {
 func TestRandIsBalanced(t *testing.T) {
 	r := NewRNG(1)
 	v := NewRand(r, 100000)
-	frac := v.Frac()
+	frac := float64(v.OnesCount()) / float64(v.D())
 	if math.Abs(frac-0.5) > 0.01 {
 		t.Fatalf("random vector +1 fraction %v, want ~0.5", frac)
 	}
@@ -94,8 +94,8 @@ func TestRandBiasedDensity(t *testing.T) {
 	r := NewRNG(3)
 	for _, p := range []float64{0, 0.1, 0.25, 0.5, 0.7313, 0.9, 1} {
 		v := NewRandBiased(r, 100000, p)
-		if math.Abs(v.Frac()-p) > 0.01 {
-			t.Fatalf("RandBiased(%v) density %v", p, v.Frac())
+		if frac := float64(v.OnesCount()) / float64(v.D()); math.Abs(frac-p) > 0.01 {
+			t.Fatalf("RandBiased(%v) density %v", p, frac)
 		}
 	}
 }
@@ -282,42 +282,10 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	r := NewRNG(15)
-	a, b := NewRand(r, 200), New(200)
-	b.CopyFrom(a)
-	if !a.Equal(b) {
-		t.Fatal("CopyFrom failed")
-	}
-}
-
 func TestEqualDimensionMismatch(t *testing.T) {
 	if New(64).Equal(New(128)) {
 		t.Fatal("vectors of different D reported equal")
 	}
-}
-
-func TestMajorityOdd(t *testing.T) {
-	r := NewRNG(16)
-	a, b, c := NewRand(r, testD), NewRand(r, testD), NewRand(r, testD)
-	m := MajorityOdd(a, b, c)
-	// Majority of three must be similar to each constituent (~0.5 cos).
-	for i, v := range []*Vector{a, b, c} {
-		if cos := m.Cos(v); cos < 0.3 {
-			t.Fatalf("majority not similar to constituent %d: cos=%v", i, cos)
-		}
-	}
-}
-
-func TestMajorityOddPanics(t *testing.T) {
-	r := NewRNG(17)
-	a, b := NewRand(r, 64), NewRand(r, 64)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("even MajorityOdd did not panic")
-		}
-	}()
-	MajorityOdd(a, b)
 }
 
 func TestDimMismatchPanics(t *testing.T) {
@@ -336,17 +304,6 @@ func TestDimMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestEntropy(t *testing.T) {
-	r := NewRNG(18)
-	v := NewRand(r, 100000)
-	if e := v.Entropy(); e < 0.999 {
-		t.Fatalf("random vector entropy %v, want ~1", e)
-	}
-	if e := New(100).Entropy(); e != 0 {
-		t.Fatalf("constant vector entropy %v, want 0", e)
 	}
 }
 

@@ -19,10 +19,6 @@
 package hwsim
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"hdface/internal/hog"
 	"hdface/internal/nn"
 	"hdface/internal/stoch"
@@ -91,23 +87,6 @@ func (t Trace) Total() int64 {
 	return n
 }
 
-// String renders the trace sorted by op class.
-func (t Trace) String() string {
-	keys := make([]int, 0, len(t))
-	for k := range t {
-		keys = append(keys, int(k))
-	}
-	sort.Ints(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s:%d", OpClass(k), t[OpClass(k)])
-	}
-	return b.String()
-}
-
 // FromStoch converts stochastic-arithmetic counters into a trace. A select
 // is two masked ANDs and an OR (~2 word ops beyond the mask draw).
 func FromStoch(s stoch.Stats) Trace {
@@ -156,13 +135,6 @@ func HDCTrainTrace(similarities, updates int64, d int) Trace {
 		OpPop64:  similarities * words,
 		OpIntAcc: updates * int64(d),
 	}
-}
-
-// MACs builds a pure MAC trace (projection encoders, SVM).
-func MACs(n int64, bits int) Trace {
-	t := FromNN(nn.Stats{ForwardMACs: n}, bits)
-	delete(t, OpFloatAdd)
-	return t
 }
 
 // Platform prices traces. Throughput is ops per cycle; energy is picojoules
@@ -245,11 +217,6 @@ type Report struct {
 
 // Joules returns total energy.
 func (r Report) Joules() float64 { return r.DynamicJ + r.StaticJ }
-
-// String formats the report.
-func (r Report) String() string {
-	return fmt.Sprintf("%s: %.3g cycles, %.3g s, %.3g J", r.Platform, r.Cycles, r.Seconds, r.Joules())
-}
 
 // Run prices a trace on the platform.
 func (p Platform) Run(t Trace) Report {

@@ -27,9 +27,6 @@ type PipeSim struct {
 	FillLatency float64
 }
 
-// NewCPUSim wraps a CPU-like platform (serial issue).
-func NewCPUSim(p Platform) PipeSim { return PipeSim{P: p, FillLatency: 20} }
-
 // NewFPGASim wraps an FPGA-like platform (spatial, deep pipelines).
 func NewFPGASim(p Platform) PipeSim {
 	return PipeSim{P: p, Parallel: true, FillLatency: 64}
@@ -131,12 +128,4 @@ func (r PipeReport) String() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// Speedup compares two pipe reports (other / this).
-func (r PipeReport) Speedup(other PipeReport) float64 {
-	if r.Seconds == 0 {
-		return 0
-	}
-	return other.Seconds / r.Seconds
 }

@@ -92,19 +92,6 @@ func TestPipeReportString(t *testing.T) {
 	}
 }
 
-func TestPipeSpeedup(t *testing.T) {
-	cpu := NewCPUSim(CortexA53())
-	fpga := NewFPGASim(Kintex7())
-	phases := []Phase{{Name: "x", Trace: Trace{OpWord64: 1 << 24}}}
-	rc, rf := cpu.Run(phases), fpga.Run(phases)
-	if sp := rf.Speedup(rc); sp <= 1 {
-		t.Fatalf("FPGA not faster on bitwise work: %v", sp)
-	}
-	if (PipeReport{}).Speedup(rc) != 0 {
-		t.Fatal("zero guard broken")
-	}
-}
-
 func TestPipeParallelNeverSlowerThanSerial(t *testing.T) {
 	fpga := Kintex7()
 	phases := []Phase{{Name: "x", Trace: Trace{

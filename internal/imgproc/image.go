@@ -68,15 +68,6 @@ func (m *Image) Norm(x, y int) float64 {
 	return float64(m.At(x, y)) / 255
 }
 
-// Floats returns the whole image normalised to [0, 1] in row-major order.
-func (m *Image) Floats() []float64 {
-	out := make([]float64, len(m.Pix))
-	for i, p := range m.Pix {
-		out[i] = float64(p) / 255
-	}
-	return out
-}
-
 // Crop returns a copy of the rectangle [x0, x0+w) x [y0, y0+h); regions
 // outside the source are edge-clamped.
 func (m *Image) Crop(x0, y0, w, h int) *Image {

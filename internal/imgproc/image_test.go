@@ -69,16 +69,12 @@ func TestFillMeanClone(t *testing.T) {
 	}
 }
 
-func TestNormAndFloats(t *testing.T) {
+func TestNorm(t *testing.T) {
 	m := NewImage(2, 1)
 	m.Set(0, 0, 0)
 	m.Set(1, 0, 255)
 	if m.Norm(0, 0) != 0 || m.Norm(1, 0) != 1 {
 		t.Fatal("Norm wrong")
-	}
-	f := m.Floats()
-	if len(f) != 2 || f[0] != 0 || f[1] != 1 {
-		t.Fatalf("Floats wrong: %v", f)
 	}
 }
 

@@ -148,12 +148,6 @@ func (m *MLP) Predict(x []float64) int {
 	return best
 }
 
-// Probs returns the softmax class distribution for x.
-func (m *MLP) Probs(x []float64) []float64 {
-	_, _, logits := m.forward(x)
-	return softmax(logits)
-}
-
 // Train runs SGD over the dataset and returns the final average training
 // loss per epoch.
 func (m *MLP) Train(xs [][]float64, ys []int) ([]float64, error) {
@@ -283,11 +277,6 @@ func (m *MLP) Accuracy(xs [][]float64, ys []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(xs))
-}
-
-// Weights returns the total parameter count.
-func (m *MLP) Weights() int {
-	return len(m.l1.w) + len(m.l1.b) + len(m.l2.w) + len(m.l2.b) + len(m.l3.w) + len(m.l3.b)
 }
 
 // Layers exposes the three weight matrices (with biases appended) for

@@ -113,21 +113,6 @@ func TestLearnsXOR(t *testing.T) {
 	}
 }
 
-func TestProbsSumToOne(t *testing.T) {
-	m, _ := New(Config{In: 4, H1: 8, H2: 8, Out: 3})
-	p := m.Probs([]float64{0.5, -0.5, 1, 0})
-	var s float64
-	for _, v := range p {
-		if v < 0 || v > 1 {
-			t.Fatalf("prob %v out of range", v)
-		}
-		s += v
-	}
-	if math.Abs(s-1) > 1e-9 {
-		t.Fatalf("probs sum to %v", s)
-	}
-}
-
 func TestDeterministicTraining(t *testing.T) {
 	xs, ys := blobs(4, 2, 20, 5)
 	a, _ := New(Config{In: 4, H1: 8, H2: 8, Out: 2, Epochs: 5, Seed: 9})
@@ -138,14 +123,6 @@ func TestDeterministicTraining(t *testing.T) {
 		if la[i] != lb[i] {
 			t.Fatal("training not deterministic")
 		}
-	}
-}
-
-func TestWeightsCount(t *testing.T) {
-	m, _ := New(Config{In: 10, H1: 20, H2: 30, Out: 5})
-	want := 10*20 + 20 + 20*30 + 30 + 30*5 + 5
-	if got := m.Weights(); got != want {
-		t.Fatalf("weights %d, want %d", got, want)
 	}
 }
 
@@ -249,7 +226,8 @@ func TestFlipBitSignExtension(t *testing.T) {
 func TestWeightBits(t *testing.T) {
 	m, _ := New(Config{In: 2, H1: 4, H2: 4, Out: 2})
 	q, _ := Quantize(m, 8)
-	if got, want := q.WeightBits(), int64(m.Weights()*8); got != want {
+	weights := 2*4 + 4 + 4*4 + 4 + 4*2 + 2 // three layers' weights and biases
+	if got, want := q.WeightBits(), int64(weights*8); got != want {
 		t.Fatalf("WeightBits %d, want %d", got, want)
 	}
 }

@@ -76,11 +76,8 @@ func (q *Quantized) Sync() {
 }
 
 // Codes exposes the integer weight codes for fault injection. After
-// mutation, call Sync before Predict.
+// mutation, call Sync before Accuracy.
 func (q *Quantized) Codes() [][]int32 { return q.codes }
-
-// Predict classifies with the quantised weights.
-func (q *Quantized) Predict(x []float64) int { return q.mlp.Predict(x) }
 
 // Accuracy evaluates the quantised model.
 func (q *Quantized) Accuracy(xs [][]float64, ys []int) float64 {

@@ -114,15 +114,6 @@ func (in *Injector) FlipFloats(xs []float64, rate float64) int {
 	return flips
 }
 
-// FlipFloatMatrix applies FlipFloats row-wise.
-func (in *Injector) FlipFloatMatrix(m [][]float64, rate float64) int {
-	total := 0
-	for _, row := range m {
-		total += in.FlipFloats(row, rate)
-	}
-	return total
-}
-
 // FlipFixed8 flips bits in an 8-bit fixed-point rendering of the values:
 // each value is quantised to lo + code*(hi-lo)/255, each of the 8 code bits
 // flips independently with probability rate, and the value is dequantised
@@ -152,15 +143,6 @@ func (in *Injector) FlipFixed8(xs []float64, lo, hi float64, rate float64) int {
 		xs[i] = lo + float64(code)*scale
 	}
 	return flips
-}
-
-// FlipFixed8Matrix applies FlipFixed8 row-wise.
-func (in *Injector) FlipFixed8Matrix(m [][]float64, lo, hi float64, rate float64) int {
-	total := 0
-	for _, row := range m {
-		total += in.FlipFixed8(row, lo, hi, rate)
-	}
-	return total
 }
 
 // FlipImagePixels flips each bit of each 8-bit pixel with probability rate

@@ -102,14 +102,6 @@ func TestFlipFloats(t *testing.T) {
 	}
 }
 
-func TestFlipFloatMatrix(t *testing.T) {
-	in := New(10)
-	m := [][]float64{{1, 2}, {3, 4}}
-	if in.FlipFloatMatrix(m, 0.3) == 0 {
-		t.Fatal("no flips in matrix")
-	}
-}
-
 func TestFlipImagePixels(t *testing.T) {
 	in := New(11)
 	pix := make([]uint8, 10000)
@@ -220,14 +212,6 @@ func TestFlipFixed8GentlerThanFloat(t *testing.T) {
 	New(17).FlipFloats(fl, 0.02)
 	if meanAbs(fx) >= meanAbs(fl) {
 		t.Fatalf("fixed-point damage %v not below float damage %v", meanAbs(fx), meanAbs(fl))
-	}
-}
-
-func TestFlipFixed8Matrix(t *testing.T) {
-	in := New(18)
-	m := [][]float64{{0.2, 0.8}, {0.5, 0.5}}
-	if in.FlipFixed8Matrix(m, 0, 1, 0.5) == 0 {
-		t.Fatal("no flips")
 	}
 }
 

@@ -214,14 +214,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
 // Reset zeroes every registered counter, gauge and histogram and clears
 // all stage records. Metric handles stay valid, so instrumented packages
 // keep working; only the accumulated values are dropped. Intended for the

@@ -55,9 +55,6 @@ func Enable() { armed.Store(true) }
 // Reset to drop them); in-flight traces keep recording until finished.
 func Disable() { armed.Store(false) }
 
-// Enabled reports whether tracing is on.
-func Enabled() bool { return armed.Load() }
-
 // timeNow is swapped by tests for deterministic golden output.
 var timeNow = time.Now
 
@@ -160,14 +157,6 @@ func (t *Trace) ID() string {
 		return ""
 	}
 	return t.id
-}
-
-// Kind returns the trace kind, or "" for a nil trace.
-func (t *Trace) Kind() string {
-	if t == nil {
-		return ""
-	}
-	return t.kind
 }
 
 // SetError marks the trace as failed; error traces are retained by the

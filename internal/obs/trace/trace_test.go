@@ -51,7 +51,6 @@ func TestNilSafety(t *testing.T) {
 	var sp *Span
 	// None of these may panic.
 	_ = tr.ID()
-	_ = tr.Kind()
 	_ = tr.Duration()
 	tr.SetError(true)
 	tr.SetDegraded(true)

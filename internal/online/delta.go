@@ -290,13 +290,6 @@ func (m *Merger) Bundle(base uint64) (merged *Delta, skipped int) {
 	return merged, skipped
 }
 
-// Replicas returns how many distinct replicas have offered state.
-func (m *Merger) Replicas() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.latest)
-}
-
 // Stats returns (offers ingested, offers discarded as stale/duplicate).
 func (m *Merger) Stats() (offered, stale int64) {
 	m.mu.Lock()

@@ -277,9 +277,6 @@ func (t *Trainer) Stats() Stats {
 	}
 }
 
-// Replica returns this trainer's fleet replica name.
-func (t *Trainer) Replica() string { return t.cfg.Replica }
-
 // Delta returns a snapshot of the local feedback accumulator, or nil if
 // no feedback has arrived since the trainer started (the accumulator is
 // created lazily against the first live model Step sees). Safe to call

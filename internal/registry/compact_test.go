@@ -2,9 +2,7 @@ package registry
 
 import (
 	"errors"
-	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -103,47 +101,6 @@ func TestGetRacesGC(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestOpenCompactRoundTrip stores versions through the compact v2 path and
-// reloads them: the binarised memory must be bit-exact and the live history
-// must survive, same as the v1 path.
-func TestOpenCompactRoundTrip(t *testing.T) {
-	cfg := testConfig()
-	dir := t.TempDir()
-	r, err := OpenCompact(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := trainedModel(t, cfg, 3)
-	id, err := r.Put(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Promote(id); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf(versionPattern, id)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:16]) != "hdface-model/v2\n" {
-		t.Fatalf("compact registry wrote magic %q", data[:16])
-	}
-	// Plain Open must read the compact file too (auto-sniffing).
-	r2, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := r2.Live()
-	if live == nil || live.ID != id {
-		t.Fatalf("reloaded live = %+v, want id %d", live, id)
-	}
-	for c := range m.Bin {
-		if !reflect.DeepEqual(live.Model.Bin[c].Words(), m.Bin[c].Words()) {
-			t.Fatalf("class %d binarised memory not bit-exact across compact reload", c)
-		}
-	}
 }
 
 // TestMigrateV2 rewrites a v1 registry dir in place and checks the models

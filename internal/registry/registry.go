@@ -81,7 +81,6 @@ type Registry struct {
 	mu       sync.Mutex
 	dir      string // "" = in-memory only
 	retain   int    // max versions kept; <=0 = unlimited
-	compact  bool   // persist new versions as hdface-model/v2
 	cfg      hdface.Config
 	haveCfg  bool
 	versions map[uint64]*Version
@@ -96,25 +95,9 @@ type Registry struct {
 // must be repaired by an operator, never silently served around. retain
 // bounds how many versions are kept on disk (<= 0 keeps all).
 func Open(dir string, retain int) (*Registry, error) {
-	return open(dir, retain, false)
-}
-
-// OpenCompact is Open, but new versions are persisted in the compact
-// hdface-model/v2 format (quantised accumulators + exact binarised memory,
-// ~8x smaller than v1 at D=2048). Existing files of either format are
-// loaded; GC and rollback treat both identically since they share the
-// version naming scheme. Note the quantisation means a version re-loaded
-// after a restart dequantises to q*scale — the binarised serving path is
-// unaffected, cosine scores move by at most one part in 32767.
-func OpenCompact(dir string, retain int) (*Registry, error) {
-	return open(dir, retain, true)
-}
-
-func open(dir string, retain int, compact bool) (*Registry, error) {
 	r := &Registry{
 		dir:      dir,
 		retain:   retain,
-		compact:  compact,
 		versions: make(map[uint64]*Version),
 	}
 	if dir == "" {
@@ -455,13 +438,7 @@ func (r *Registry) gcLocked() {
 // writeVersion persists one version atomically (temp + rename).
 func (r *Registry) writeVersion(id uint64, cfg hdface.Config, m *hdc.Model) error {
 	var buf bytes.Buffer
-	var err error
-	if r.compact {
-		err = hdface.EncodeSnapshotV2(&buf, cfg, m)
-	} else {
-		err = hdface.EncodeSnapshot(&buf, cfg, m)
-	}
-	if err != nil {
+	if err := hdface.EncodeSnapshot(&buf, cfg, m); err != nil {
 		return fmt.Errorf("registry: encode version %d: %w", id, err)
 	}
 	return r.writeAtomic(fmt.Sprintf(versionPattern, id), buf.Bytes())

@@ -94,12 +94,10 @@ type Config struct {
 	MaxDeadline time.Duration
 	// MaxBodyBytes bounds request bodies (default 16 MiB).
 	MaxBodyBytes int64
-	// DetectWin is the sweep window size (default the pipeline's
-	// WorkingSize, else 48).
-	DetectWin int
 	// DetectParams overrides the sweep geometry. Zero fields default to
-	// Win=DetectWin, Stride=Win/2, Scales={1,2}, NMSIoU=0.3; Workers
-	// defaults to the pipeline's worker count.
+	// Win = the pipeline's WorkingSize (else 48), Stride=Win/2,
+	// Scales={1,2}, NMSIoU=0.3; Workers defaults to the pipeline's worker
+	// count. The detection scorers are built for Win.
 	DetectParams detect.Params
 	// SLOTarget is the per-request latency goal tracked by the /predict
 	// and /detect SLOs (default 250ms).
@@ -115,8 +113,8 @@ type Config struct {
 	// the best-so-far boxes flagged degraded instead of stalling the stream.
 	FrameDeadline time.Duration
 	// Track tunes the per-stream tracker. Zero fields take the track
-	// package defaults, except MaxDist which defaults to 1.5×DetectWin (the
-	// positional gate must scale with the detection geometry).
+	// package defaults, except MaxDist which defaults to 1.5×DetectParams.Win
+	// (the positional gate must scale with the detection geometry).
 	Track track.Config
 	// MinTrackScore drops sweep boxes scoring below it before tracking
 	// (0 keeps every detection). /detect responses are unaffected: the
@@ -157,15 +155,12 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
 	}
-	if c.DetectWin <= 0 {
-		if ws := c.Pipeline.Config().WorkingSize; ws > 0 {
-			c.DetectWin = ws
-		} else {
-			c.DetectWin = 48
-		}
-	}
 	if c.DetectParams.Win <= 0 {
-		c.DetectParams.Win = c.DetectWin
+		if ws := c.Pipeline.Config().WorkingSize; ws > 0 {
+			c.DetectParams.Win = ws
+		} else {
+			c.DetectParams.Win = 48
+		}
 	}
 	if c.DetectParams.Stride <= 0 {
 		c.DetectParams.Stride = c.DetectParams.Win / 2
@@ -195,7 +190,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.FrameDeadline = c.MaxDeadline
 	}
 	if c.Track.MaxDist == 0 {
-		c.Track.MaxDist = 1.5 * float64(c.DetectWin)
+		c.Track.MaxDist = 1.5 * float64(c.DetectParams.Win)
 	}
 	if c.Emotion != nil && c.Emotion.D != c.Pipeline.Config().D {
 		return c, fmt.Errorf("serve: emotion model dimensionality %d != pipeline %d",
@@ -643,7 +638,7 @@ func (s *Server) detectScorer(live *registry.Version, tr *trace.Trace) (detect.W
 	// Version IDs start at 1, so the zero scorerVer always misses first.
 	if s.scorerVer != live.ID {
 		sp := tr.StartSpan("scorer_build")
-		s.scorer, s.scorerErr = s.cfg.Pipeline.DetectScorer(live.Model, s.cfg.DetectWin)
+		s.scorer, s.scorerErr = s.cfg.Pipeline.DetectScorer(live.Model, s.cfg.DetectParams.Win)
 		s.scorerVer = live.ID
 		sp.End()
 		obsScorerSwaps.Inc()
@@ -677,7 +672,7 @@ func (s *Server) tenantDetectScorer(id string, ver uint64, m *hdc.Model, tr *tra
 		clear(s.tenantScorers)
 	}
 	sp := tr.StartSpan("scorer_build")
-	sc, err := s.cfg.Pipeline.DetectScorer(m, s.cfg.DetectWin)
+	sc, err := s.cfg.Pipeline.DetectScorer(m, s.cfg.DetectParams.Win)
 	sp.End()
 	obsScorerSwaps.Inc()
 	s.tenantScorers[id] = &tenantScorer{ver: ver, scorer: sc, err: err}

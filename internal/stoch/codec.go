@@ -77,7 +77,6 @@ type Codec struct {
 	minusOne *hv.Vector // V_-1 = ^V_1
 	margin   float64    // comparison margin in value units
 	sqrtIter int
-	divIter  int
 	permStep int // rotation stride for decorrelation, coprime-ish with D
 
 	Stats Stats
@@ -89,20 +88,9 @@ type Codec struct {
 // Option configures a Codec.
 type Option func(*Codec)
 
-// WithMargin sets the comparison margin in multiples of the estimator
-// standard deviation 1/sqrt(D). Default 2.
-func WithMargin(sigmas float64) Option {
-	return func(c *Codec) { c.margin = sigmas / math.Sqrt(float64(c.d)) }
-}
-
 // WithSqrtIterations sets the binary-search depth for Sqrt (default 10).
 func WithSqrtIterations(n int) Option {
 	return func(c *Codec) { c.sqrtIter = n }
-}
-
-// WithDivIterations sets the binary-search depth for Div (default 10).
-func WithDivIterations(n int) Option {
-	return func(c *Codec) { c.divIter = n }
 }
 
 // NewCodec returns a codec of dimensionality d seeded by seed.
@@ -117,7 +105,6 @@ func NewCodec(d int, seed uint64, opts ...Option) *Codec {
 		one:      hv.NewRand(rng, d),
 		margin:   2 / math.Sqrt(float64(d)),
 		sqrtIter: 10,
-		divIter:  10,
 		permStep: 0,
 		mask:     hv.New(d),
 		tmpA:     hv.New(d),
@@ -144,7 +131,6 @@ func (c *Codec) Fork() *Codec {
 		minusOne: c.minusOne,
 		margin:   c.margin,
 		sqrtIter: c.sqrtIter,
-		divIter:  c.divIter,
 		permStep: c.permStep,
 		mask:     hv.New(c.d),
 		tmpA:     hv.New(c.d),
@@ -169,9 +155,6 @@ func (c *Codec) One() *hv.Vector { return c.one }
 
 // MinusOne returns V_{-1} (do not mutate).
 func (c *Codec) MinusOne() *hv.Vector { return c.minusOne }
-
-// Margin returns the comparison margin in value units.
-func (c *Codec) Margin() float64 { return c.margin }
 
 // clamp keeps a in [-1, 1].
 func clamp(a float64) float64 {
@@ -365,6 +348,9 @@ func (c *Codec) Sqrt(v *hv.Vector) *hv.Vector {
 	return c.WeightedAvg(0.5, low, high)
 }
 
+// divIterations is the binary-search depth of Div.
+const divIterations = 10
+
 // Div returns V_{a/b} for represented values with |a| <= |b| and b != 0
 // (the quotient must fit in [-1, 1]); the binary search finds m minimising
 // |m*b - a|. Signs are handled by searching on magnitudes.
@@ -381,7 +367,7 @@ func (c *Codec) Div(a, b *hv.Vector) *hv.Vector {
 	low := c.Construct(0)
 	high := c.one.Clone()
 	mid := c.WeightedAvg(0.5, low, high)
-	for i := 0; i < c.divIter; i++ {
+	for i := 0; i < divIterations; i++ {
 		prod := c.Mul(mid, c.Decorrelate(absB))
 		cmp := c.Compare(prod, absA)
 		if cmp == 0 {

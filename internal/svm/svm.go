@@ -150,13 +150,3 @@ func (m *Model) Accuracy(xs [][]float64, ys []int) float64 {
 	}
 	return float64(correct) / float64(len(xs))
 }
-
-// Norm returns the L2 norm of class c's weight vector (diagnostic: Pegasos
-// bounds it by 1/sqrt(lambda)).
-func (m *Model) Norm(c int) float64 {
-	var s float64
-	for _, w := range m.W[c] {
-		s += w * w
-	}
-	return math.Sqrt(s)
-}

@@ -507,9 +507,6 @@ func (v *Version) Model() (*hdc.Model, error) {
 	return m, nil
 }
 
-// BlobBytes returns the size of the always-resident compact blob.
-func (v *Version) BlobBytes() int { return len(v.blob) }
-
 // Materialized reports whether the decoded model is currently cached.
 func (v *Version) Materialized() bool { return v.mat.Load() != nil }
 

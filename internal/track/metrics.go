@@ -1,37 +1,9 @@
 package track
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // GroundTruth is one frame's true boxes per subject: Truth[frame][subject].
 type GroundTruth [][][4]int
-
-// MOTReport aggregates CLEAR-MOT-style tracking quality over a clip.
-type MOTReport struct {
-	Frames     int
-	Matches    int // track box matched the right subject's box
-	Misses     int // subject present but no track box overlapped it
-	FalsePos   int // track box overlapping no subject
-	IDSwitches int // a subject's matched track ID changed between frames
-}
-
-// MOTA returns the multiple-object tracking accuracy:
-// 1 - (misses + false positives + ID switches) / ground-truth objects.
-func (r MOTReport) MOTA() float64 {
-	gt := r.Matches + r.Misses
-	if gt == 0 {
-		return 0
-	}
-	return 1 - float64(r.Misses+r.FalsePos+r.IDSwitches)/float64(gt)
-}
-
-// String summarises the report.
-func (r MOTReport) String() string {
-	return fmt.Sprintf("frames=%d matches=%d misses=%d fp=%d idsw=%d mota=%.3f",
-		r.Frames, r.Matches, r.Misses, r.FalsePos, r.IDSwitches, r.MOTA())
-}
 
 // iou computes intersection-over-union of two boxes.
 func iou(a, b [4]int) float64 {
@@ -65,23 +37,12 @@ func minI(a, b int) int {
 }
 
 // Obs is one tracker output observation: track ID and box at a frame. The
-// identity metrics accept flat observation lists so they can score remote
-// trackers (the /stream endpoint's NDJSON events) as well as local ones.
+// identity metrics accept flat observation lists so they can score a remote
+// tracker: the /stream endpoint's NDJSON events.
 type Obs struct {
 	ID    int
 	Frame int
 	Box   [4]int
-}
-
-// Observations flattens a tracker's history into per-frame observations.
-func Observations(tk *Tracker) []Obs {
-	var out []Obs
-	for _, tr := range tk.All() {
-		for i, f := range tr.Frames {
-			out = append(out, Obs{ID: tr.ID, Frame: f, Box: tr.Boxes[i]})
-		}
-	}
-	return out
 }
 
 // IDF1Report carries the identity-F1 decomposition: IDTP observations where
@@ -100,11 +61,6 @@ func (r IDF1Report) F1() float64 {
 		return 0
 	}
 	return 2 * float64(r.IDTP) / float64(den)
-}
-
-// String summarises the report.
-func (r IDF1Report) String() string {
-	return fmt.Sprintf("idtp=%d idfp=%d idfn=%d idf1=%.3f", r.IDTP, r.IDFP, r.IDFN, r.F1())
 }
 
 // IDF1 computes identity-F1 of tracker observations against per-frame
@@ -166,58 +122,4 @@ func IDF1(obs []Obs, truth GroundTruth, iouThresh float64) IDF1Report {
 		IDFP: len(obs) - idtp,
 		IDFN: totalGT - idtp,
 	}
-}
-
-// Evaluate scores a finished tracker against per-frame ground truth at the
-// given IoU threshold. Track boxes are looked up by the frame index they
-// were recorded at.
-func Evaluate(tk *Tracker, truth GroundTruth, iouThresh float64) MOTReport {
-	rep := MOTReport{Frames: len(truth)}
-	// Collect every track's box per frame.
-	type obs struct {
-		id  int
-		box [4]int
-	}
-	perFrame := make(map[int][]obs)
-	for _, tr := range tk.All() {
-		for i, f := range tr.Frames {
-			perFrame[f] = append(perFrame[f], obs{tr.ID, tr.Boxes[i]})
-		}
-	}
-	lastID := map[int]int{} // subject -> last matched track ID
-	for f, subjects := range truth {
-		observations := perFrame[f]
-		usedObs := make([]bool, len(observations))
-		for s, gt := range subjects {
-			if gt == ([4]int{}) {
-				continue // subject absent this frame
-			}
-			best, bestIoU := -1, iouThresh
-			for oi, o := range observations {
-				if usedObs[oi] {
-					continue
-				}
-				if v := iou(o.box, gt); v >= bestIoU {
-					best, bestIoU = oi, v
-				}
-			}
-			if best == -1 {
-				rep.Misses++
-				continue
-			}
-			usedObs[best] = true
-			rep.Matches++
-			id := observations[best].id
-			if prev, ok := lastID[s]; ok && prev != id {
-				rep.IDSwitches++
-			}
-			lastID[s] = id
-		}
-		for oi := range observations {
-			if !usedObs[oi] {
-				rep.FalsePos++
-			}
-		}
-	}
-	return rep
 }

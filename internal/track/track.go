@@ -281,9 +281,3 @@ func (t *Tracker) mergeTemplate(tr *Track, f *hv.Vector) {
 	merged := hv.New(f.D()).Select(mask, f, tr.Template)
 	tr.Template = merged
 }
-
-// String summarises tracker state.
-func (t *Tracker) String() string {
-	return fmt.Sprintf("track.Tracker{frame:%d, active:%d, retired:%d}",
-		t.frame, len(t.active), len(t.retired))
-}

@@ -300,10 +300,3 @@ func TestStepDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("two identical runs diverged:\n%s\nvs\n%s", a, b)
 	}
 }
-
-func TestStringSummary(t *testing.T) {
-	tk := New(Config{}, 19)
-	if !strings.Contains(tk.String(), "active:0") {
-		t.Fatalf("summary %q", tk.String())
-	}
-}

@@ -16,6 +16,46 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== keep rule (unlinked functions == scripts/unlinked.txt) =="
+# DESIGN.md's keep rule, checked by the linker: build the three roots
+# without inlining, fold each generic instantiation's symbol to its function
+# name (shape types may contain spaces), and list the functions declared in
+# non-test files outside bench/ that no root links. That set must equal the
+# allowlist exactly, so new test-only code fails the step, and so does a
+# listed function that became linked or was deleted.
+keep=$(mktemp -d)
+go build -gcflags=all=-l -o "$keep/hdface" ./cmd/hdface
+go build -gcflags=all=-l -o "$keep/hdface-bench" ./cmd/hdface-bench
+go -C bench build -gcflags=all=-l -o "$keep/bench" .
+for bin in hdface hdface-bench bench; do
+    go tool nm "$keep/$bin" | awk -v main="hdface/cmd/$bin." '
+        $2 == "T" || $2 == "t" {
+            s = $0; sub(/^ *[0-9a-f]+ [Tt] /, "", s)
+            while (gsub(/\[[^][]*\]/, "", s)) {}
+            sub(/^main\./, main, s); sub(/\.init\.[0-9]+$/, ".init", s)
+            print s
+        }'
+done | LC_ALL=C sort -u > "$keep/linked"
+go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{$.ImportPath}}{{"\n"}}{{end}}' ./... > "$keep/files"
+awk 'NR == FNR { pkg[$1] = $2; next }
+    /^func / {
+        s = substr($0, 6); t = ""
+        if (s ~ /^\(/) {
+            i = index(s, ")"); r = substr(s, 2, i - 2); s = substr(s, i + 1); sub(/^ +/, "", s)
+            gsub(/\[[^]]*\]/, "", r); n = split(r, f, " "); t = f[n]
+            t = (t ~ /^\*/ ? "(" t ")" : t) "."
+        }
+        sub(/[[(].*/, "", s)
+        print pkg[FILENAME] "." t s
+    }' "$keep/files" $(cut -d' ' -f1 "$keep/files") | LC_ALL=C sort -u > "$keep/declared"
+LC_ALL=C comm -23 "$keep/declared" "$keep/linked" > "$keep/unlinked"
+grep -v -e '^#' -e '^$' scripts/unlinked.txt | LC_ALL=C sort > "$keep/allowed"
+if ! diff -u "$keep/allowed" "$keep/unlinked" >&2; then
+    echo "unlinked functions differ from scripts/unlinked.txt: a + line is linked by no root (delete it with its tests, or list it under its DESIGN.md category); a - line is listed but linked or gone (drop it)" >&2
+    exit 1
+fi
+rm -rf "$keep"
+
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 
